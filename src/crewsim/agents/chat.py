@@ -12,6 +12,9 @@ from __future__ import annotations
 import json
 import logging
 import os
+import random
+import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +29,12 @@ logger = logging.getLogger(__name__)
 
 SYSTEM_PROMPT = "You are a player in a text-based social deduction game. Follow the rules and the response format exactly."
 
+# Retry delays: "full jitter" exponential backoff, uniform in
+# [0, min(cap, base * 2**retry)] seconds, unless the endpoint sends a numeric
+# Retry-After (https://aws.amazon.com/blogs/architecture/exponential-backoff-and-jitter/).
+BACKOFF_BASE_S = 0.5
+BACKOFF_CAP_S = 8.0
+
 
 @dataclass
 class ChatEndpointConfig:
@@ -35,6 +44,7 @@ class ChatEndpointConfig:
     max_retries: int = 2
     temperature: float = 0.7
     api_key_env: str | None = None
+    max_concurrency: int = 8  # classifier requests in flight during annotation
 
     def validate(self) -> None:
         if not self.base_url.startswith(("http://", "https://")):
@@ -45,6 +55,8 @@ class ChatEndpointConfig:
             raise ValueError("timeout must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
+        if self.max_concurrency < 1:
+            raise ValueError("max_concurrency must be at least 1")
 
     def resolve_api_key(self) -> str | None:
         if not self.api_key_env:
@@ -61,19 +73,37 @@ class ChatEndpointConfig:
 
 
 class ChatClient:
-    """Small retrying HTTP client over one endpoint config."""
+    """Small retrying HTTP client over one endpoint config.
 
-    def __init__(self, config: ChatEndpointConfig):
+    ``complete`` may be called from several threads at once: each thread
+    gets its own ``requests.Session``, since requests does not promise that
+    a session is thread-safe. ``sleep`` waits between retries; tests pass a
+    recorder instead of ``time.sleep``.
+    """
+
+    sleep = staticmethod(time.sleep)
+
+    def __init__(self, config: ChatEndpointConfig, sleep=None):
         config.validate()
         self.config = config
         self.api_key = config.resolve_api_key()
-        self.session = requests.Session()
+        self._local = threading.local()
+        if sleep is not None:
+            self.sleep = sleep
+
+    @property
+    def session(self) -> requests.Session:
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     def complete(self, user: str, system: str | None = SYSTEM_PROMPT) -> str:
         """One completion; returns "" after retries are exhausted.
 
-        Retries cover connection errors, timeouts, 5xx statuses, and
-        malformed reply bodies; 4xx statuses are not retried.
+        Retries cover connection errors, timeouts, 429 and 5xx statuses,
+        and malformed reply bodies, each after a backoff delay; other 4xx
+        statuses are not retried.
         """
         messages = []
         if system:
@@ -89,7 +119,11 @@ class ChatClient:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
         attempts = self.config.max_retries + 1
+        retry_after = None
         for attempt in range(attempts):
+            if attempt:
+                self.sleep(_backoff(attempt - 1) if retry_after is None else retry_after)
+                retry_after = None
             try:
                 reply = self.session.post(
                     self.config.base_url,
@@ -100,10 +134,11 @@ class ChatClient:
             except requests.RequestException as exc:
                 logger.warning("chat request failed (attempt %d/%d): %s", attempt + 1, attempts, exc)
                 continue
-            if reply.status_code >= 500:
+            if reply.status_code == 429 or reply.status_code >= 500:
                 logger.warning(
                     "chat endpoint returned %d (attempt %d/%d)", reply.status_code, attempt + 1, attempts
                 )
+                retry_after = _retry_after(reply.headers.get("Retry-After"))
                 continue
             if reply.status_code != 200:
                 logger.warning("chat endpoint returned %d; not retrying", reply.status_code)
@@ -114,6 +149,19 @@ class ChatClient:
                 logger.warning("malformed chat reply (attempt %d/%d): %s", attempt + 1, attempts, exc)
                 continue
         return ""
+
+
+def _backoff(retry: int) -> float:
+    return random.uniform(0.0, min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2**retry))
+
+
+def _retry_after(value: str | None) -> float | None:
+    """Seconds from a numeric Retry-After header; None for a date or junk."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0.0 <= seconds < float("inf") else None
 
 
 def chat_complete(config: ChatEndpointConfig, prompt: str, system: str | None = SYSTEM_PROMPT) -> str:

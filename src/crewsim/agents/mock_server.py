@@ -1,8 +1,9 @@
 """In-process mock chat-completion server for tests and offline demos.
 
 The server speaks the same wire shape as the real adapter expects. Behavior
-is a callable ``(payload, request_index) -> (status, body)`` so tests can
-script failures, malformed replies, and canned completions.
+is a callable ``(payload, request_index) -> (status, body)``, or
+``(status, body, headers)`` to send extra headers such as ``Retry-After``,
+so tests can script failures, malformed replies, and canned completions.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
-Handler = Callable[[dict, int], tuple[int, object]]
+Handler = Callable[[dict, int], tuple]
 
 
 def completion_body(text: str) -> dict:
@@ -24,10 +25,10 @@ def static_completion(text: str) -> Handler:
     return lambda payload, index: (200, completion_body(text))
 
 
-def scripted_sequence(responses: list[tuple[int, object]]) -> Handler:
+def scripted_sequence(responses: list[tuple]) -> Handler:
     """Replay ``responses`` in order; the last one repeats forever."""
 
-    def handle(payload: dict, index: int) -> tuple[int, object]:
+    def handle(payload: dict, index: int) -> tuple:
         return responses[min(index, len(responses) - 1)]
 
     return handle
@@ -56,13 +57,15 @@ class MockChatServer:
                 with outer._lock:
                     index = len(outer.requests)
                     outer.requests.append(payload)
-                status, body = outer.handler(payload, index)
+                status, body, *extra = outer.handler(payload, index)
                 data = body if isinstance(body, (bytes, str)) else json.dumps(body)
                 if isinstance(data, str):
                     data = data.encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                for name, value in (extra[0] if extra else {}).items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
 

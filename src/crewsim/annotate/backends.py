@@ -7,10 +7,15 @@ A backend answers two calls:
 
 ``key`` identifies the utterance; only the replay backend uses it. Replies
 are raw words that go through label normalization upstream.
+
+A backend may set ``max_concurrency``: how many replies the annotator may
+request at once. Only the chat backend does, because it waits on the
+network; the other two are CPU-bound and run serially.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 from crewsim.agents.chat import ChatClient, ChatEndpointConfig
@@ -23,6 +28,7 @@ class ChatBackend:
     def __init__(self, endpoint: ChatEndpointConfig):
         self.client = ChatClient(endpoint)
         self.name = f"chat:{endpoint.model}"
+        self.max_concurrency = endpoint.max_concurrency
 
     def speech_act_reply(self, key: str, text: str) -> str:
         return self.client.complete(speech_act_prompt(text), system=None)
@@ -31,9 +37,16 @@ class ChatBackend:
         return self.client.complete(deception_prompt(text, discussion), system=None)
 
 
+@functools.lru_cache(maxsize=None)
+def _lexicon_pattern(phrases: tuple[str, ...]) -> re.Pattern:
+    """One alternation per lexicon; at each position the regex tries every
+    phrase in turn, so it matches wherever any single phrase would."""
+    return re.compile(rf"(?<![a-z])(?:{'|'.join(map(re.escape, phrases))})(?![a-z])")
+
+
 def _any_word(text: str, phrases: tuple[str, ...]) -> bool:
     lowered = " ".join(text.split()).casefold()
-    return any(re.search(rf"(?<![a-z]){re.escape(p)}(?![a-z])", lowered) for p in phrases)
+    return _lexicon_pattern(phrases).search(lowered) is not None
 
 
 class RuleBackend:

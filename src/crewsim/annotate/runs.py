@@ -1,7 +1,9 @@
 """Annotation run objects and their JSONL persistence.
 
 A run file starts with one metadata line, then one ``{"key", "label"}`` line
-per classified utterance, append-friendly so interrupted runs can resume.
+per classified utterance, append-friendly so interrupted runs can resume. A
+crash mid-append can tear the last line; loading drops it, and resume cuts
+it from the file and labels that utterance again.
 """
 
 from __future__ import annotations
@@ -34,11 +36,15 @@ def save_run(run: AnnotationRun, path: str | Path) -> None:
 def load_run(path: str | Path) -> AnnotationRun:
     with open(path, encoding="utf-8") as fh:
         lines = [line for line in (ln.strip() for ln in fh) if line]
-    if not lines:
+    records = []
+    for number, line in enumerate(lines, 1):
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError:
+            if number < len(lines):  # only the last line can be torn by a crash
+                raise
+    if not records:
         raise ValueError(f"empty annotation run file: {path}")
-    meta = json.loads(lines[0])
-    labels = {}
-    for line in lines[1:]:
-        item = json.loads(line)
-        labels[item["key"]] = item["label"]
+    meta = records[0]
+    labels = {item["key"]: item["label"] for item in records[1:]}
     return AnnotationRun(task=meta["task"], run_id=meta["run_id"], backend=meta["backend"], labels=labels)

@@ -380,10 +380,14 @@ def build_observation(state: GameState, player_id: int) -> Observation:
     )
 
 
+# The fields of a policy's ``last_exchange`` copied into the event log.
+EXCHANGE_FIELDS = ("prompt", "raw")
+
+
 def _log_exchange(agent) -> dict:
     exchange = getattr(agent, "last_exchange", None)
     if isinstance(exchange, dict):
-        return {k: v for k, v in exchange.items() if k in ("prompt", "raw")}
+        return {k: v for k, v in exchange.items() if k in EXCHANGE_FIELDS}
     return {}
 
 

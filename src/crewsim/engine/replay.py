@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from crewsim.agents.base import AgentResponse
 from crewsim.core.types import GameRecord, action_from_tag, player_name
-from crewsim.engine.engine import run_game
+from crewsim.engine.engine import EXCHANGE_FIELDS, run_game
 
 # Events that change the world (as opposed to bookkeeping like "turn"/"no_op").
 EFFECT_KINDS = (
@@ -81,8 +81,10 @@ def replay_record(record: GameRecord) -> GameRecord:
 
 
 def _effect_trace(record: GameRecord) -> list[tuple]:
+    # A chat agent's logged prompt and raw reply are inputs behind an effect,
+    # which a replay has no model to reproduce.
     return [
-        (e.timestep, e.round, e.kind, e.data)
+        (e.timestep, e.round, e.kind, {k: v for k, v in e.data.items() if k not in EXCHANGE_FIELDS})
         for e in record.events
         if e.kind in EFFECT_KINDS
     ]

@@ -3,12 +3,21 @@
 Only non-abstention utterances are classified. Each (task, run) writes its
 own resumable JSONL file; a merged ``annotations.jsonl`` view (one column
 per task/run pair) and per-task stability reports are derived at the end.
+
+A backend with ``max_concurrency`` above one (the chat backend) gets that
+many requests in flight from one thread pool. Labels are still written in
+item order, so the files are byte-identical to a serial run whenever the
+backend's reply depends on the request alone, and a crash leaves a prefix
+that resume continues.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,9 +70,22 @@ def collect_items(corpus_dir: str | Path, discussion_window: str = "meeting") ->
     return items
 
 
-def _annotate_run(items: list[_Item], backend, task: str, run_id: int, path: Path, echo) -> AnnotationRun:
+def _label(item: _Item, backend, task: str) -> str:
+    if task == "speech_act":
+        label = classify_speech_act(item.text, backend, key=item.key)
+        return label.value if label is not None else UNCLASSIFIABLE
+    return classify_deception(item.text, item.discussion, backend, key=item.key).value
+
+
+def _annotate_run(
+    items: list[_Item], backend, task: str, run_id: int, path: Path, echo, pool: ThreadPoolExecutor | None
+) -> AnnotationRun:
     done: dict[str, str] = {}
-    if path.exists() and path.stat().st_size > 0:
+    data = path.read_bytes()
+    complete = data.rfind(b"\n") + 1
+    if complete < len(data):
+        os.truncate(path, complete)  # a crash tore the last line mid-append
+    if complete:
         existing = load_run(path)
         if existing.task != task:
             raise ValueError(f"{path} holds task {existing.task!r}, expected {task!r}")
@@ -73,12 +95,9 @@ def _annotate_run(items: list[_Item], backend, task: str, run_id: int, path: Pat
             meta = AnnotationRun(task=task, run_id=run_id, backend=getattr(backend, "name", "?"))
             fh.write(json.dumps(meta.meta(), sort_keys=True) + "\n")
         pending = [item for item in items if item.key not in done]
-        for item in pending:
-            if task == "speech_act":
-                label = classify_speech_act(item.text, backend, key=item.key)
-                value = label.value if label is not None else UNCLASSIFIABLE
-            else:
-                value = classify_deception(item.text, item.discussion, backend, key=item.key).value
+        label = functools.partial(_label, backend=backend, task=task)
+        values = pool.map(label, pending) if pool is not None else map(label, pending)
+        for item, value in zip(pending, values):
             done[item.key] = value
             fh.write(json.dumps({"key": item.key, "label": value}) + "\n")
             fh.flush()
@@ -105,11 +124,19 @@ def annotate_corpus(
     echo(f"{len(items)} utterances to annotate per task per run")
 
     all_runs: dict[str, list[AnnotationRun]] = {task: [] for task in TASKS}
-    for task in TASKS:
-        for run_id in range(runs):
-            path = out / f"{task}.run{run_id}.jsonl"
-            path.touch()
-            all_runs[task].append(_annotate_run(items, backend, task, run_id, path, echo))
+    workers = getattr(backend, "max_concurrency", 1)
+    # One pool for every pass, so its threads and their keep-alive
+    # connections carry over; on an error, queued requests are dropped.
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="annotate") if workers > 1 else None
+    try:
+        for task in TASKS:
+            for run_id in range(runs):
+                path = out / f"{task}.run{run_id}.jsonl"
+                path.touch()
+                all_runs[task].append(_annotate_run(items, backend, task, run_id, path, echo, pool))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     merged_path = out / "annotations.jsonl"
     with open(merged_path, "w", encoding="utf-8") as fh:
@@ -121,7 +148,9 @@ def annotate_corpus(
             fh.write(json.dumps(row) + "\n")
 
     for task in TASKS:
-        if runs == 3:
+        if runs == 3 and not items:
+            echo(f"stability[{task}] skipped: the corpus has no spoken utterances")
+        elif runs == 3:
             report = stability(all_runs[task])
             (out / f"stability_{task}.json").write_text(
                 json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", "utf-8"

@@ -3,7 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from crewsim.agents.chat import ChatClient
 from crewsim.core.types import GameConfig
+
+
+@pytest.fixture(autouse=True)
+def no_retry_sleep(monkeypatch):
+    """Chat retries wait a random backoff; tests that count retries need not.
+    Tests of the delays themselves pass their own ``sleep`` to the client."""
+    monkeypatch.setattr(ChatClient, "sleep", staticmethod(lambda seconds: None))
 
 
 @pytest.fixture

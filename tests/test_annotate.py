@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
-from crewsim.annotate.backends import ReplayBackend, RuleBackend
+from crewsim.annotate.backends import ReplayBackend, RuleBackend, _any_word
 from crewsim.annotate.classify import (
     classify_deception,
     classify_speech_act,
@@ -22,6 +25,9 @@ from crewsim.annotate.labels import (
 )
 from crewsim.annotate.reliability import agreement, cohen_kappa, stability
 from crewsim.annotate.runs import AnnotationRun, load_run, save_run
+from crewsim.harness.corpus import iter_corpus
+
+GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden" / "corpus"
 
 
 # ---- normalization ----
@@ -163,6 +169,30 @@ def test_rule_backend_deception_examples():
     assert rules.deception_reply("", "Blue vented in front of me!", "") == "Equivocation"  # default
 
 
+def _any_word_per_phrase(text: str, phrases: tuple[str, ...]) -> bool:
+    """The rule classifier's original matcher: one search per phrase."""
+    lowered = " ".join(text.split()).casefold()
+    return any(re.search(rf"(?<![a-z]){re.escape(p)}(?![a-z])", lowered) for p in phrases)
+
+
+def test_lexicon_pattern_matches_per_phrase_search():
+    texts = [u.text for record in iter_corpus(GOLDEN_CORPUS) for u in record.utterances() if u.text]
+    texts += ["I'll go", "i willow", "Lets  GO", "let'sgo", "sorry!", "unsorry", "kind  of near", "nearly"]
+    lexicons = {
+        name: value
+        for name, value in vars(RuleBackend).items()
+        if name.startswith("_") and name.isupper() and isinstance(value, tuple)
+    }
+    assert len(lexicons) == 8
+    hits = 0
+    for phrases in lexicons.values():
+        for text in texts:
+            expected = _any_word_per_phrase(text, phrases)
+            assert _any_word(text, phrases) == expected, (text, phrases)
+            hits += expected
+    assert hits > len(texts)  # the comparison covers matches, not just misses
+
+
 def test_rule_backend_is_deterministic():
     rules = RuleBackend()
     text = "Maybe we should skip. I don't think we have enough information yet."
@@ -280,3 +310,21 @@ def test_run_save_load_round_trip(tmp_path):
     save_run(run, path)
     loaded = load_run(path)
     assert loaded == run
+
+
+def test_load_run_drops_torn_final_line(tmp_path):
+    path = tmp_path / "run.jsonl"
+    save_run(run_with({"k1": "Directives", "k2": "Expressives"}, 0), path)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) - 9])  # a crash mid-append tore the last label
+    assert load_run(path).labels == {"k1": "Directives"}
+
+
+def test_load_run_raises_on_corruption_before_the_last_line(tmp_path):
+    path = tmp_path / "run.jsonl"
+    save_run(run_with({"k1": "Directives", "k2": "Expressives"}, 0), path)
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1][:-5]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        load_run(path)

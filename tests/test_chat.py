@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from crewsim.agents.chat import ChatAgent, ChatClient, ChatEndpointConfig, chat_complete
+from crewsim.agents.chat import (
+    BACKOFF_BASE_S,
+    BACKOFF_CAP_S,
+    ChatAgent,
+    ChatClient,
+    ChatEndpointConfig,
+    chat_complete,
+)
 from crewsim.agents.mock_server import (
     MockChatServer,
     completion_body,
@@ -134,3 +143,64 @@ def test_chat_agent_malformed_reply_abstains():
         agent = ChatAgent(crew.id, crew.role, ChatClient(endpoint(server.url)))
         assert agent.decide(obs) is None
         assert agent.vote(obs) is None
+
+
+def test_rate_limit_is_retried_with_capped_jittered_backoff():
+    waits = []
+    script = scripted_sequence([(429, {"error": "slow down"})] * 3 + [(200, completion_body("ok"))])
+    with MockChatServer(script) as server:
+        client = ChatClient(endpoint(server.url, retries=3), sleep=waits.append)
+        assert client.complete("x") == "ok"
+        assert len(server.requests) == 4
+    assert len(waits) == 3
+    for retry, wait in enumerate(waits):
+        assert 0.0 <= wait <= min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2**retry)
+
+
+def test_server_errors_back_off_and_exhaust_to_empty():
+    waits = []
+    with MockChatServer(lambda payload, i: (503, {"error": "busy"})) as server:
+        client = ChatClient(endpoint(server.url, retries=2), sleep=waits.append)
+        assert client.complete("x") == ""
+        assert len(server.requests) == 3
+    assert len(waits) == 2
+
+
+def test_numeric_retry_after_is_honoured():
+    waits = []
+    script = scripted_sequence(
+        [
+            (429, {"error": "slow down"}, {"Retry-After": "3"}),
+            (503, {"error": "busy"}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+            (200, completion_body("ok")),
+        ]
+    )
+    with MockChatServer(script) as server:
+        client = ChatClient(endpoint(server.url, retries=2), sleep=waits.append)
+        assert client.complete("x") == "ok"
+    assert waits[0] == 3.0
+    assert 0.0 <= waits[1] <= BACKOFF_BASE_S * 2  # a date is not numeric: plain backoff
+
+
+def test_first_attempt_does_not_wait():
+    waits = []
+    with MockChatServer(static_completion("fine")) as server:
+        assert ChatClient(endpoint(server.url), sleep=waits.append).complete("x") == "fine"
+    assert waits == []
+
+
+def test_max_concurrency_is_validated():
+    assert ChatEndpointConfig(base_url="http://x", model="m").max_concurrency == 8
+    with pytest.raises(ValueError):
+        ChatClient(ChatEndpointConfig(base_url="http://x", model="m", max_concurrency=0))
+
+
+def test_each_thread_gets_its_own_session():
+    client = ChatClient(ChatEndpointConfig(base_url="http://x", model="m"))
+    sessions = []
+    thread = threading.Thread(target=lambda: sessions.append(client.session))
+    thread.start()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert client.session is client.session
+    assert sessions[0] is not client.session

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crewsim.agents.base import AgentResponse
+from crewsim.agents.chat import ChatEndpointConfig, make_chat_roster
+from crewsim.agents.mock_server import MockChatServer, completion_body
 from crewsim.agents.scripted import make_scripted_roster
 from crewsim.core.serialize import encode_record
 from crewsim.core.types import (
@@ -513,6 +516,28 @@ def test_game_invariants(seed, shape):
     # determinism and replayability
     again = run_game(cfg, make_scripted_roster(cfg, "random_walker", "hunter"))
     assert encode_record(again) == encode_record(record)
+    assert verify_record(record) == []
+
+
+def content_keyed_reply(payload, index):
+    """Mock model whose reply depends on the prompt alone: a menu entry
+    picked by the prompt's hash, with a hash-numbered line when speaking."""
+    prompt = payload["messages"][-1]["content"]
+    tags = [line[2:] for line in prompt.splitlines() if line.startswith("- ")]
+    pick = int.from_bytes(hashlib.sha256(prompt.encode()).digest()[:8], "big")
+    tag = tags[pick % len(tags)] if tags else ""
+    if tag.startswith("SPEAK"):
+        tag = f"SPEAK: I trust nobody, reason {pick % 97}."
+    return 200, completion_body(f"[Condensed Memory] m\n[Thinking Process] t\n[Action] {tag}")
+
+
+def test_chat_game_with_meeting_replays_exactly():
+    with MockChatServer(content_keyed_reply) as server:
+        endpoint = ChatEndpointConfig(base_url=server.url, model="mock", timeout=5.0, max_retries=0)
+        cfg = GameConfig(3, 1, seed=2, max_rounds=20)
+        record = run_game(cfg, make_chat_roster(cfg, endpoint))
+    spoken = [e for e in record.events if e.kind == "utterance" and e.data["text"]]
+    assert spoken and all("prompt" in e.data and "raw" in e.data for e in spoken)
     assert verify_record(record) == []
 
 

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from crewsim.annotate.backends import RuleBackend
+from crewsim.agents.chat import ChatEndpointConfig
+from crewsim.agents.mock_server import MockChatServer, completion_body
+from crewsim.annotate.backends import ChatBackend, RuleBackend
+from crewsim.annotate.classify import deception_template
 from crewsim.harness.analysis import analyze
 from crewsim.harness.annotator import annotate_corpus, collect_items
 from crewsim.harness.cli import main as cli_main
@@ -147,6 +155,167 @@ def test_annotate_corpus_two_runs_skips_stability(corpus, tmp_path):
     out = annotate_corpus(corpus, RuleBackend(), runs=2, out_dir=tmp_path / "ann", echo=notices.append)
     assert not (out / "stability_speech_act.json").exists()
     assert any("skipped" in n for n in notices)
+
+
+def test_annotate_corpus_resumes_after_torn_last_line(corpus, tmp_path):
+    out = annotate_corpus(corpus, RuleBackend(), runs=3, out_dir=tmp_path / "ann")
+    complete = tree_bytes(out)
+    path = out / "deception.run1.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    half = len(lines) // 2
+    path.write_bytes(b"".join(lines[:half]) + lines[half][:7])  # a crash mid-append
+    first = out / "speech_act.run0.jsonl"
+    first.write_bytes(first.read_bytes()[:10])  # a crash while writing the metadata line
+    annotate_corpus(corpus, RuleBackend(), runs=3, out_dir=out)
+    assert tree_bytes(out) == complete
+
+
+def test_annotate_corpus_without_spoken_utterances(tmp_path):
+    plan = ExperimentPlan.from_dict(
+        {
+            "base_seed": 7,
+            "agents": {"type": "scripted", "crew": "stand_still", "impostor": "hunter"},
+            "configs": [{"num_crew": 3, "num_impostors": 1, "repetitions": 2, "max_rounds": 30}],
+        }
+    )
+    corpus = run_experiment(plan, tmp_path / "corpus")
+    assert collect_items(corpus) == []
+    notices = []
+    out = annotate_corpus(corpus, RuleBackend(), runs=3, out_dir=tmp_path / "ann", echo=notices.append)
+    for run_file in sorted(out.glob("*.run*.jsonl")):
+        assert len(run_file.read_text().splitlines()) == 1  # the metadata line only
+    assert len(list(out.glob("*.run*.jsonl"))) == 6
+    assert (out / "annotations.jsonl").read_text() == ""
+    assert not list(out.glob("stability_*.json"))
+    assert sum("no spoken utterances" in n for n in notices) == 2
+
+
+# ---- concurrent chat annotation ----
+
+SPEECH_ACT_REPLIES = ("Representatives", "Directives", "Commissives", "Expressives", "Declarations", "Unsure")
+DECEPTION_REPLIES = ("Falsification", "Concealment", "Equivocation", "Unsure")
+
+
+class ContentKeyedClassifier:
+    """Mock classifier model: each reply, an off-label "Unsure" included, is
+    a pure function of the prompt, sent after a short sleep. Counts requests
+    and the most it held in flight at once."""
+
+    def __init__(self, delay_s: float = 0.003):
+        self.delay_s = delay_s
+        self.requests = self.inflight = self.peak = 0
+        self._lock = threading.Lock()
+        self._deception_head = deception_template().split("[DISCUSSION]")[0]
+
+    def __call__(self, payload, index):
+        with self._lock:
+            self.requests += 1
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+        time.sleep(self.delay_s)
+        prompt = payload["messages"][-1]["content"]
+        replies = DECEPTION_REPLIES if prompt.startswith(self._deception_head) else SPEECH_ACT_REPLIES
+        word = replies[int(hashlib.sha256(prompt.encode()).hexdigest(), 16) % len(replies)]
+        with self._lock:
+            self.inflight -= 1
+        return 200, completion_body(word)
+
+    def reset(self) -> None:
+        self.requests = self.peak = 0
+
+
+class Interrupt(BaseException):
+    """Stands in for Ctrl-C: not an Exception, so no classifier absorbs it."""
+
+
+class InterruptedChatBackend(ChatBackend):
+    def __init__(self, endpoint, at_call: int):
+        super().__init__(endpoint)
+        self.calls = itertools.count()
+        self.at_call = at_call
+
+    def deception_reply(self, key, text, discussion):
+        if next(self.calls) == self.at_call:
+            raise Interrupt
+        return super().deception_reply(key, text, discussion)
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    plan = ExperimentPlan.from_dict(
+        {
+            "base_seed": 404,
+            "agents": {"type": "scripted", "crew": "random_walker", "impostor": "hunter"},
+            "configs": [{"num_crew": 3, "num_impostors": 1, "repetitions": 2}],
+        }
+    )
+    return run_experiment(plan, tmp_path_factory.mktemp("small") / "corpus")
+
+
+@pytest.fixture(scope="module")
+def classifier():
+    model = ContentKeyedClassifier()
+    with MockChatServer(model) as server:
+        yield model, server
+
+
+def chat_endpoint(server, max_concurrency: int) -> ChatEndpointConfig:
+    return ChatEndpointConfig(
+        base_url=server.url, model="mock", timeout=5.0, max_retries=0, max_concurrency=max_concurrency
+    )
+
+
+@pytest.fixture(scope="module")
+def serial_chat_annotations(small_corpus, classifier, tmp_path_factory):
+    model, server = classifier
+    model.reset()
+    out_dir = tmp_path_factory.mktemp("serial") / "ann"
+    out = annotate_corpus(small_corpus, ChatBackend(chat_endpoint(server, 1)), runs=3, out_dir=out_dir)
+    assert model.peak == 1
+    return tree_bytes(out)
+
+
+def test_concurrent_chat_annotation_matches_serial_bytes(small_corpus, classifier, serial_chat_annotations, tmp_path):
+    model, server = classifier
+    model.reset()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a race would show
+    try:
+        out = annotate_corpus(small_corpus, ChatBackend(chat_endpoint(server, 8)), runs=3, out_dir=tmp_path / "ann")
+    finally:
+        sys.setswitchinterval(interval)
+    assert 1 < model.peak <= 8
+    assert model.requests == 2 * 3 * len(collect_items(small_corpus))
+    assert tree_bytes(out) == serial_chat_annotations
+    assert {"stability_speech_act.json", "stability_deception.json", "annotations.jsonl"} <= set(
+        serial_chat_annotations
+    )
+    labels = (out / "speech_act.run0.jsonl").read_text() + (out / "deception.run0.jsonl").read_text()
+    assert "unclassifiable" in labels.lower() and "missing" in labels.lower()
+
+
+def test_concurrency_never_exceeds_the_bound(small_corpus, classifier, tmp_path):
+    model, server = classifier
+    model.reset()
+    annotate_corpus(small_corpus, ChatBackend(chat_endpoint(server, 3)), runs=1, out_dir=tmp_path / "ann")
+    assert 1 < model.peak <= 3
+
+
+def test_interrupted_concurrent_annotation_resumes_to_same_bytes(
+    small_corpus, classifier, serial_chat_annotations, tmp_path
+):
+    model, server = classifier
+    n_items = len(collect_items(small_corpus))
+    out_dir = tmp_path / "ann"
+    with pytest.raises(Interrupt):
+        annotate_corpus(
+            small_corpus, InterruptedChatBackend(chat_endpoint(server, 8), at_call=n_items + 5), runs=3, out_dir=out_dir
+        )
+    written = len((out_dir / "deception.run1.jsonl").read_text().splitlines()) - 1
+    assert 0 <= written < n_items
+    assert not (out_dir / "deception.run2.jsonl").exists()
+    annotate_corpus(small_corpus, ChatBackend(chat_endpoint(server, 8)), runs=3, out_dir=out_dir)
+    assert tree_bytes(out_dir) == serial_chat_annotations
 
 
 def test_discussion_window_widens_context(corpus):
