@@ -44,7 +44,7 @@ class ChatEndpointConfig:
     max_retries: int = 2
     temperature: float = 0.7
     api_key_env: str | None = None
-    max_concurrency: int = 8  # classifier requests in flight during annotation
+    max_concurrency: int = 8  # requests in flight: classifier requests, or chat games at once
 
     def validate(self) -> None:
         if not self.base_url.startswith(("http://", "https://")):

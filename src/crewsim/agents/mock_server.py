@@ -73,7 +73,11 @@ class MockChatServer:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _RequestHandler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # ``shutdown`` waits for the serve loop's next poll; a short poll
+        # lets ``stop`` return at once instead of after up to half a second.
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     @property
     def url(self) -> str:

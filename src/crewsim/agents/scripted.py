@@ -11,6 +11,7 @@ games replay byte-identically.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 
@@ -24,8 +25,25 @@ def _respond(action: Action) -> AgentResponse:
     return AgentResponse(condensed_memory="", thinking="", action=action)
 
 
-def _mentions(name: str, text: str) -> bool:
-    return re.search(rf"\b{re.escape(name)}\b", text) is not None
+@functools.lru_cache(maxsize=1024)
+def _name_pattern(names: tuple[str, ...]) -> re.Pattern:
+    """One whole-word alternation per name set, compiled once."""
+    return re.compile(r"\b(?:" + "|".join(map(re.escape, names)) + r")\b")
+
+
+def _mentioned(names: tuple[str, ...], text: str) -> set[str]:
+    """The names in ``names`` that ``text`` mentions as whole words."""
+    if not names:
+        return set()
+    return {match.group() for match in _name_pattern(names).finditer(text)}
+
+
+def _accused_me(obs: Observation) -> bool:
+    """Whether another player has named the viewer in this meeting."""
+    me = (obs.viewer_name,)
+    return any(
+        speaker != obs.viewer_name and _mentioned(me, text) for speaker, text in obs.meeting.transcript
+    )
 
 
 class AccuserScript:
@@ -44,20 +62,12 @@ class AccuserScript:
             self._suspect = self.rng.choice(others) if others else None
         return self._suspect
 
-    def _accused_me(self, obs: Observation) -> bool:
-        return any(
-            speaker != obs.viewer_name and _mentions(obs.viewer_name, text)
-            for speaker, text in obs.meeting.transcript
-        )
-
     def _most_accused(self, obs: Observation) -> str | None:
+        names = tuple(name for _, name in obs.meeting.attendees if name != obs.viewer_name)
         counts: dict[str, int] = {}
         for speaker, text in obs.meeting.transcript:
-            for _, name in obs.meeting.attendees:
-                if name in (obs.viewer_name, speaker):
-                    continue
-                if _mentions(name, text):
-                    counts[name] = counts.get(name, 0) + 1
+            for name in _mentioned(names, text) - {speaker}:
+                counts[name] = counts.get(name, 0) + 1
         if not counts:
             return None
         top = max(counts.values())
@@ -71,7 +81,7 @@ class AccuserScript:
         rnd = obs.meeting.discussion_round
         if rnd == 0:
             return f"I think {suspect} is acting suspicious. Has anyone seen {suspect} doing tasks?"
-        if self._accused_me(obs):
+        if _accused_me(obs):
             return f"It wasn't me. I was doing my tasks in {obs.current_room}."
         if rnd == 1:
             return f"Let's keep an eye on {suspect}. We should vote carefully."
@@ -92,14 +102,8 @@ class DefenderScript:
         self.rng = rng
         self.impostor_ids = impostor_ids
 
-    def _accused_me(self, obs: Observation) -> bool:
-        return any(
-            speaker != obs.viewer_name and _mentions(obs.viewer_name, text)
-            for speaker, text in obs.meeting.transcript
-        )
-
     def speak(self, obs: Observation) -> str:
-        if self._accused_me(obs):
+        if _accused_me(obs):
             return f"It wasn't me. I was in {obs.current_room} the whole time."
         if obs.meeting.discussion_round == 0:
             return f"I was near {obs.current_room} earlier, but I didn't really see what happened."

@@ -131,7 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run an experiment plan into a corpus directory")
     simulate.add_argument("--plan", type=Path, default=None, help="plan JSON (default: bundled 11-config grid)")
     simulate.add_argument("--out", type=Path, required=True)
-    simulate.add_argument("--workers", type=int, default=1)
+    simulate.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="processes for scripted plans; chat plans run games on threads, bounded by the "
+        "endpoint's max_concurrency",
+    )
     simulate.set_defaults(func=cmd_simulate)
 
     annotate = sub.add_parser("annotate", help="label corpus utterances with a classifier backend")

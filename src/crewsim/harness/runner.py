@@ -4,13 +4,21 @@ Games are independent: each worker owns its game and writes one file, so a
 run can be parallelized, interrupted, and resumed (existing game files are
 skipped) without changing the resulting corpus bytes. A crashing game is
 recorded as a failure line and the run continues.
+
+Scripted games are CPU-bound and run in a process pool of ``workers``
+(in this process for one). Chat games wait on the endpoint, so they run on
+threads instead, up to the endpoint's ``max_concurrency`` games at once. A
+game sends one request at a time, so that also bounds the requests in
+flight. The corpus is the same whatever the bound as long as the
+endpoint's reply depends on the request alone. An interrupted chat run
+stops starting games but lets the running ones finish.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 from crewsim.agents.chat import ChatEndpointConfig, make_chat_roster
@@ -23,6 +31,16 @@ from crewsim.harness.plan import ExperimentPlan
 logger = logging.getLogger(__name__)
 
 
+def _endpoint_config(agents_spec: dict) -> ChatEndpointConfig:
+    """The chat endpoint of a plan's agent spec: a file path or an inline object."""
+    endpoint = agents_spec.get("endpoint")
+    if isinstance(endpoint, str):
+        return ChatEndpointConfig.from_file(endpoint)
+    if isinstance(endpoint, dict):
+        return ChatEndpointConfig(**endpoint)
+    raise ValueError("chat agent spec needs an 'endpoint' (file path or inline object)")
+
+
 def build_roster(config: GameConfig, agents_spec: dict):
     """Instantiate one policy per player from a plan's agent spec."""
     kind = agents_spec.get("type", "scripted")
@@ -33,13 +51,7 @@ def build_roster(config: GameConfig, agents_spec: dict):
             impostor=agents_spec.get("impostor", "hunter"),
         )
     if kind == "chat":
-        endpoint = agents_spec.get("endpoint")
-        if isinstance(endpoint, str):
-            endpoint_cfg = ChatEndpointConfig.from_file(endpoint)
-        elif isinstance(endpoint, dict):
-            endpoint_cfg = ChatEndpointConfig(**endpoint)
-        else:
-            raise ValueError("chat agent spec needs an 'endpoint' (file path or inline object)")
+        endpoint_cfg = _endpoint_config(agents_spec)
         return make_chat_roster(config, endpoint_cfg, carry_memory=agents_spec.get("carry_memory", True))
     raise ValueError(f"unknown agent spec type {kind!r}")
 
@@ -60,6 +72,38 @@ def _run_one(config_data: dict, agents_spec: dict, game_id: str, path_str: str) 
     tmp.write_text(line + "\n", encoding="utf-8")
     tmp.replace(path)
     return path_str, error
+
+
+def _count_failures(outcomes) -> int:
+    """Log each failed game of ``(path, error)`` outcomes; returns how many."""
+    failures = 0
+    for path_str, error in outcomes:
+        if error:
+            failures += 1
+            logger.warning("game failed: %s (%s)", path_str, error)
+    return failures
+
+
+def _chat_games_at_once(agents_spec: dict) -> int:
+    """The endpoint's ``max_concurrency``, or 1 when the endpoint cannot be
+    read: then every game records the same error, as a serial run would."""
+    try:
+        endpoint = _endpoint_config(agents_spec)
+        endpoint.validate()
+    except Exception:  # noqa: BLE001 - reported per game by _run_one
+        return 1
+    return endpoint.max_concurrency
+
+
+def _run_chat_games(agents_spec: dict, jobs: list) -> int:
+    """Run chat games on threads, ``max_concurrency`` at a time; returns the
+    failed games. On an error, games not yet started are dropped."""
+    pool = ThreadPoolExecutor(min(_chat_games_at_once(agents_spec), len(jobs)), thread_name_prefix="game")
+    try:
+        futures = [pool.submit(_run_one, *job) for job in jobs]
+        return _count_failures(future.result() for future in futures)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_experiment(plan: ExperimentPlan, out_dir: str | Path, workers: int = 1, echo=None) -> Path:
@@ -88,19 +132,13 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path, workers: int = 1, 
             jobs.append((config.to_dict(), plan.agents, game_id, str(path)))
 
     echo(f"{len(jobs)} games to run ({sum(e.repetitions for e in plan.entries)} total in plan)")
-    failures = 0
-    if workers > 1 and jobs:
+    if plan.agents.get("type") == "chat" and jobs:
+        failures = _run_chat_games(plan.agents, jobs)
+    elif workers > 1 and jobs:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for path_str, error in pool.map(_run_one, *zip(*jobs)):
-                if error:
-                    failures += 1
-                    logger.warning("game failed: %s (%s)", path_str, error)
+            failures = _count_failures(pool.map(_run_one, *zip(*jobs)))
     else:
-        for job in jobs:
-            _, error = _run_one(*job)
-            if error:
-                failures += 1
-                logger.warning("game failed: %s (%s)", job[3], error)
+        failures = _count_failures(_run_one(*job) for job in jobs)
 
     summary: dict[str, dict] = {}
     for ci, entry in enumerate(plan.entries):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,9 +17,10 @@ from crewsim.agents.prompts import (
     render_observation,
     role_instructions,
 )
-from crewsim.agents.scripted import make_scripted_roster
-from crewsim.core.types import Action, GameConfig, Role
+from crewsim.agents.scripted import _mentioned, make_scripted_roster
+from crewsim.core.types import PLAYER_NAMES, Action, GameConfig, Role, player_name
 from crewsim.engine.engine import build_observation, new_game, run_game
+from crewsim.harness.corpus import iter_corpus
 
 MENU = [
     Action.move("Storage"),
@@ -241,3 +245,41 @@ def test_accuser_votes_most_accused():
     # every living player cast a ballot; the most-mentioned names drew votes
     assert votes == {"2": 0, "3": 1, "0": 2, "1": 2}
     assert record.ejection_rounds == [1]
+
+
+def per_name_search(name: str, text: str) -> bool:
+    """The reference: one whole-word search per name."""
+    return re.search(rf"\b{re.escape(name)}\b", text) is not None
+
+
+def golden_lines_and_name_sets() -> tuple[set[str], set[tuple[str, ...]]]:
+    """Every utterance text in the golden corpus, and every name set a
+    scripted policy searches there: each meeting's attendees but the viewer
+    (``_most_accused``) and each viewer alone (``_accused_me``)."""
+    lines, name_sets = set(), set()
+    for record in iter_corpus(Path(__file__).parent / "data" / "golden" / "corpus"):
+        alive = set(range(record.config.num_players))
+        for event in record.events:
+            if event.kind == "kill":
+                alive.discard(event.data["victim"])
+            elif event.kind == "ejection":
+                alive.discard(event.data["player"])
+            elif event.kind == "meeting_start":
+                for viewer in alive:
+                    name_sets.add(tuple(player_name(pid) for pid in sorted(alive) if pid != viewer))
+                    name_sets.add((player_name(viewer),))
+            elif event.kind == "utterance":
+                lines.add(event.data["text"])
+    return lines, name_sets
+
+
+def test_name_alternation_matches_per_name_search():
+    lines, name_sets = golden_lines_and_name_sets()
+    assert len(lines) > 20 and len(name_sets) > 10
+    assert {name for names in name_sets for name in names} == set(PLAYER_NAMES[:6])
+    # names that prefix one another, case and punctuation next to a name
+    lines |= {"P1 and P10 both saw P100.", "Redd, red and RED are not Red's.", "Blue-Green? Yellow!", ""}
+    name_sets |= {("P1", "P10"), ("P10", "P1"), ("Red", "Redd"), ("Blue", "Green", "Yellow")}
+    for names in name_sets:
+        for text in lines:
+            assert _mentioned(names, text) == {n for n in names if per_name_search(n, text)}, (names, text)

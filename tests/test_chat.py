@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -204,3 +205,14 @@ def test_each_thread_gets_its_own_session():
     assert not thread.is_alive()
     assert client.session is client.session
     assert sessions[0] is not client.session
+
+
+def test_mock_server_stops_promptly_after_a_request():
+    server = MockChatServer(static_completion("ok")).start()
+    try:
+        assert chat_complete(endpoint(server.url), "x") == "ok"
+    finally:
+        start = time.perf_counter()
+        server.stop()
+        elapsed = time.perf_counter() - start
+    assert elapsed < 0.25

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from crewsim.agents.base import AgentResponse
 from crewsim.agents.chat import ChatEndpointConfig, make_chat_roster
-from crewsim.agents.mock_server import MockChatServer, completion_body
+from crewsim.agents.mock_server import MockChatServer
 from crewsim.agents.scripted import make_scripted_roster
 from crewsim.core.serialize import encode_record
 from crewsim.core.types import (
@@ -37,6 +36,7 @@ from crewsim.engine.engine import (
     tally_votes,
 )
 from crewsim.engine.replay import verify_record
+from mockmodels import game_reply
 
 
 def response(action: Action) -> AgentResponse:
@@ -519,20 +519,8 @@ def test_game_invariants(seed, shape):
     assert verify_record(record) == []
 
 
-def content_keyed_reply(payload, index):
-    """Mock model whose reply depends on the prompt alone: a menu entry
-    picked by the prompt's hash, with a hash-numbered line when speaking."""
-    prompt = payload["messages"][-1]["content"]
-    tags = [line[2:] for line in prompt.splitlines() if line.startswith("- ")]
-    pick = int.from_bytes(hashlib.sha256(prompt.encode()).digest()[:8], "big")
-    tag = tags[pick % len(tags)] if tags else ""
-    if tag.startswith("SPEAK"):
-        tag = f"SPEAK: I trust nobody, reason {pick % 97}."
-    return 200, completion_body(f"[Condensed Memory] m\n[Thinking Process] t\n[Action] {tag}")
-
-
 def test_chat_game_with_meeting_replays_exactly():
-    with MockChatServer(content_keyed_reply) as server:
+    with MockChatServer(game_reply) as server:
         endpoint = ChatEndpointConfig(base_url=server.url, model="mock", timeout=5.0, max_retries=0)
         cfg = GameConfig(3, 1, seed=2, max_rounds=20)
         record = run_game(cfg, make_chat_roster(cfg, endpoint))

@@ -6,8 +6,6 @@ import hashlib
 import itertools
 import json
 import sys
-import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -16,11 +14,14 @@ from crewsim.agents.chat import ChatEndpointConfig
 from crewsim.agents.mock_server import MockChatServer, completion_body
 from crewsim.annotate.backends import ChatBackend, RuleBackend
 from crewsim.annotate.classify import deception_template
+from crewsim.engine.replay import verify_record
 from crewsim.harness.analysis import analyze
 from crewsim.harness.annotator import annotate_corpus, collect_items
 from crewsim.harness.cli import main as cli_main
+from crewsim.harness.corpus import iter_corpus
 from crewsim.harness.plan import ExperimentPlan, default_plan
 from crewsim.harness.runner import _run_one, run_experiment
+from mockmodels import ContentKeyedModel, game_reply
 
 TINY_PLAN = {
     "base_seed": 404,
@@ -196,32 +197,16 @@ SPEECH_ACT_REPLIES = ("Representatives", "Directives", "Commissives", "Expressiv
 DECEPTION_REPLIES = ("Falsification", "Concealment", "Equivocation", "Unsure")
 
 
-class ContentKeyedClassifier:
+_DECEPTION_HEAD = deception_template().split("[DISCUSSION]")[0]
+
+
+def classifier_reply(payload, index):
     """Mock classifier model: each reply, an off-label "Unsure" included, is
-    a pure function of the prompt, sent after a short sleep. Counts requests
-    and the most it held in flight at once."""
-
-    def __init__(self, delay_s: float = 0.003):
-        self.delay_s = delay_s
-        self.requests = self.inflight = self.peak = 0
-        self._lock = threading.Lock()
-        self._deception_head = deception_template().split("[DISCUSSION]")[0]
-
-    def __call__(self, payload, index):
-        with self._lock:
-            self.requests += 1
-            self.inflight += 1
-            self.peak = max(self.peak, self.inflight)
-        time.sleep(self.delay_s)
-        prompt = payload["messages"][-1]["content"]
-        replies = DECEPTION_REPLIES if prompt.startswith(self._deception_head) else SPEECH_ACT_REPLIES
-        word = replies[int(hashlib.sha256(prompt.encode()).hexdigest(), 16) % len(replies)]
-        with self._lock:
-            self.inflight -= 1
-        return 200, completion_body(word)
-
-    def reset(self) -> None:
-        self.requests = self.peak = 0
+    a pure function of the prompt."""
+    prompt = payload["messages"][-1]["content"]
+    replies = DECEPTION_REPLIES if prompt.startswith(_DECEPTION_HEAD) else SPEECH_ACT_REPLIES
+    word = replies[int(hashlib.sha256(prompt.encode()).hexdigest(), 16) % len(replies)]
+    return 200, completion_body(word)
 
 
 class Interrupt(BaseException):
@@ -254,7 +239,7 @@ def small_corpus(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def classifier():
-    model = ContentKeyedClassifier()
+    model = ContentKeyedModel(classifier_reply)
     with MockChatServer(model) as server:
         yield model, server
 
@@ -410,6 +395,111 @@ def test_golden_pipeline_snapshot(tmp_path):
         assert fresh.keys() == frozen.keys(), part
         mismatched = [name for name in frozen if fresh[name] != frozen[name]]
         assert mismatched == [], f"{part}: {mismatched}"
+
+
+# ---- concurrent chat games ----
+
+CHAT_CONFIGS = [
+    {"num_crew": 3, "num_impostors": 1, "repetitions": 2, "max_rounds": 12, "discussion_rounds": 1},
+    {"num_crew": 4, "num_impostors": 1, "repetitions": 1, "max_rounds": 12, "discussion_rounds": 1},
+]
+
+
+@pytest.fixture(scope="module")
+def player_model():
+    model = ContentKeyedModel(game_reply)
+    with MockChatServer(model) as server:
+        yield model, server
+
+
+@pytest.fixture(scope="module")
+def endpoint_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("endpoint") / "endpoint.json"
+
+
+def simulate_chat(server, endpoint_file: Path, max_concurrency: int, out: Path) -> Path:
+    """Run the chat plan; the plan names the endpoint file, so ``plan.json``
+    stays the same whatever bound the file holds."""
+    endpoint = {"base_url": server.url, "model": "mock", "timeout": 5.0, "max_retries": 0}
+    endpoint_file.write_text(json.dumps({**endpoint, "max_concurrency": max_concurrency}), "utf-8")
+    plan = ExperimentPlan.from_dict(
+        {"base_seed": 31, "agents": {"type": "chat", "endpoint": str(endpoint_file)}, "configs": CHAT_CONFIGS}
+    )
+    return run_experiment(plan, out)
+
+
+@pytest.fixture(scope="module")
+def serial_chat_corpus(player_model, endpoint_file, tmp_path_factory):
+    model, server = player_model
+    model.reset()
+    corpus = simulate_chat(server, endpoint_file, 1, tmp_path_factory.mktemp("serial_games") / "corpus")
+    assert model.peak == 1
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def concurrent_chat_corpus(player_model, endpoint_file, serial_chat_corpus, tmp_path_factory):
+    """The chat plan at bound 8, with the server's peak in flight."""
+    model, server = player_model
+    model.reset()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a race would show
+    try:
+        corpus = simulate_chat(server, endpoint_file, 8, tmp_path_factory.mktemp("concurrent_games") / "corpus")
+    finally:
+        sys.setswitchinterval(interval)
+    return corpus, model.peak
+
+
+def test_concurrent_chat_games_match_serial_bytes(concurrent_chat_corpus, serial_chat_corpus):
+    corpus, peak = concurrent_chat_corpus
+    assert 1 < peak <= 3  # three games, one request in flight each
+    assert tree_bytes(corpus) == tree_bytes(serial_chat_corpus)
+    records = list(iter_corpus(corpus))
+    assert len(records) == 3
+    assert any(e.kind == "vote" for record in records for e in record.events)
+    assert all(verify_record(record) == [] for record in records)
+
+
+def test_concurrent_chat_games_keep_the_bound(player_model, endpoint_file, serial_chat_corpus, tmp_path):
+    model, server = player_model
+    model.reset()
+    corpus = simulate_chat(server, endpoint_file, 2, tmp_path / "corpus")
+    assert 1 < model.peak <= 2
+    assert tree_bytes(corpus) == tree_bytes(serial_chat_corpus)
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    [
+        "missing.json",
+        {"base_url": "ftp://nowhere", "model": "mock"},
+        {"base_url": "http://x", "model": "mock", "max_concurrency": 0},
+    ],
+    ids=["missing-file", "bad-url", "zero-bound"],
+)
+def test_chat_plan_with_a_bad_endpoint_records_every_game_as_failed(endpoint, tmp_path):
+    if isinstance(endpoint, str):
+        endpoint = str(tmp_path / endpoint)
+    plan = ExperimentPlan.from_dict(
+        {"base_seed": 31, "agents": {"type": "chat", "endpoint": endpoint}, "configs": CHAT_CONFIGS}
+    )
+    corpus = run_experiment(plan, tmp_path / "corpus")
+    games = [json.loads(p.read_text("utf-8")) for p in sorted(corpus.glob("config_*/game_*.json"))]
+    assert len(games) == 3 and all(game["failed"] for game in games)
+    summary = json.loads((corpus / "summary.json").read_text("utf-8"))
+    assert sum(counts["failures"] for counts in summary.values()) == 3
+
+
+def test_cli_replay_verifies_concurrent_chat_games(concurrent_chat_corpus, capsys):
+    corpus, _ = concurrent_chat_corpus
+    games = 0
+    for path in sorted(corpus.glob("config_*.jsonl")):
+        for index in range(len(path.read_text("utf-8").splitlines())):
+            assert cli_main(["replay", "--game", str(path), "--index", str(index), "--verify"]) == 0
+            games += 1
+    assert games == 3
+    assert "replay verified" in capsys.readouterr().err
 
 
 # ---- CLI ----
