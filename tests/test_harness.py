@@ -325,15 +325,15 @@ def test_analyze_without_annotations_marks_sections(corpus):
     assert "insufficient_data" not in report.sections["win_rates"]
 
 
+ZERO_MEETING_PLAN = {
+    "base_seed": 7,
+    "agents": {"type": "scripted", "crew": "stand_still", "impostor": "hunter"},
+    "configs": [{"num_crew": 3, "num_impostors": 1, "repetitions": 6, "max_rounds": 30}],
+}
+
+
 def test_analyze_zero_meeting_corpus(tmp_path):
-    plan = ExperimentPlan.from_dict(
-        {
-            "base_seed": 7,
-            "agents": {"type": "scripted", "crew": "stand_still", "impostor": "hunter"},
-            "configs": [{"num_crew": 3, "num_impostors": 1, "repetitions": 6, "max_rounds": 30}],
-        }
-    )
-    corpus = run_experiment(plan, tmp_path / "corpus")
+    corpus = run_experiment(ExperimentPlan.from_dict(ZERO_MEETING_PLAN), tmp_path / "corpus")
     report = analyze(corpus)
     meeting = report.sections["meeting_ecdf"]["3v1"]
     assert meeting["discussions"]["n"] == 0
@@ -342,6 +342,68 @@ def test_analyze_zero_meeting_corpus(tmp_path):
     if "insufficient_data" not in regression:
         assert "num_discussions" in regression["dropped_constant"]
         assert any("constant predictors" in note for note in report.notes)
+
+
+def _skipped_sections(report) -> dict[str, str]:
+    return {name: data["insufficient_data"] for name, data in report.sections.items() if "insufficient_data" in data}
+
+
+def test_analyze_insufficient_reasons_and_files_on_zero_meeting_corpus(tmp_path):
+    """Sparse corpora reach the skip branches that the golden corpus never does."""
+    corpus = run_experiment(ExperimentPlan.from_dict(ZERO_MEETING_PLAN), tmp_path / "corpus")
+    ann = annotate_corpus(corpus, RuleBackend(), runs=1, out_dir=tmp_path / "ann")
+    report = analyze(corpus, ann, out_dir=tmp_path / "report")
+    assert _skipped_sections(report) == {
+        "win_regression": "need at least 8 completed games, have 6",
+        "role_act_chi2": "fewer than two speech-act categories observed",
+        "speech_act_role_odds": "no classified utterances for one of ('impostor', 'crewmate')",
+        "speech_act_outcome_odds": "no classified utterances in completed games",
+        "pre_ejection": "no classified utterances in ejection meetings",
+        "deception_outcome_chi2": "no labeled utterances in completed games",
+        "speech_deception_spearman": "need at least 3 games with both annotation tasks",
+        "deception_win_regression": "need at least 8 completed games, have 6",
+    }
+    assert sorted(p.name for p in (tmp_path / "report").iterdir()) == [
+        "cross_role_dynamics.csv",
+        "deception_proportions.csv",
+        "deception_proportions.svg",
+        "deception_vs_ejections.csv",
+        "meeting_ecdf.csv",
+        "meeting_ecdf.svg",
+        "report.json",
+        "speech_act_by_role.csv",
+        "win_rates.csv",
+        "win_round_ecdf.csv",
+        "win_round_ecdf.svg",
+    ]
+
+
+def test_analyze_insufficient_reasons_and_files_without_annotations(corpus, tmp_path):
+    report = analyze(corpus, out_dir=tmp_path / "report")
+    no_speech, no_deception = "no speech_act annotations supplied", "no deception annotations supplied"
+    assert _skipped_sections(report) == {
+        "speech_act_by_role": no_speech,
+        "role_act_chi2": no_speech,
+        "speech_act_role_odds": no_speech,
+        "speech_act_outcome_odds": no_speech,
+        "pre_ejection": no_speech,
+        "deception_proportions": no_deception,
+        "deception_outcome_chi2": no_deception,
+        "deception_vs_ejections": no_deception,
+        "speech_deception_spearman": no_speech,
+        "deception_win_regression": no_deception,
+        "cross_role_dynamics": no_speech,
+    }
+    assert sorted(p.name for p in (tmp_path / "report").iterdir()) == [
+        "meeting_ecdf.csv",
+        "meeting_ecdf.svg",
+        "report.json",
+        "win_rates.csv",
+        "win_regression.csv",
+        "win_regression.svg",
+        "win_round_ecdf.csv",
+        "win_round_ecdf.svg",
+    ]
 
 
 def test_analyze_report_is_deterministic(corpus, tmp_path):
