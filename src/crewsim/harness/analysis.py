@@ -4,7 +4,10 @@
 annotation directories always produce byte-identical reports. Every number
 comes from a ``crewsim.stats`` operation applied to an explicitly described
 corpus slice. Sections whose slice is empty are marked
-``{"insufficient_data": ...}`` and the run continues.
+``{"insufficient_data": ...}``, write no CSV/SVG file, and the run continues.
+
+``SECTIONS`` is the one place to add a section: an entry names the
+``_Analyzer`` method that builds it and the writer that exports it.
 
 Conventions, applied throughout:
 
@@ -21,8 +24,10 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +57,11 @@ WIN_PREDICTORS = [
     "words_per_discussion",
     "words_per_utterance",
 ]
+TASK_LABELS = {"speech_act": SPEECH_ACTS, "deception": DECEPTION_TYPES}
+ROLES = ("crewmate", "impostor")
+LOGIT_FIELDS = ["count", "proportion", "logit", "ci_low", "ci_high"]
+_role = attrgetter("role")
+_game = attrgetter("game_id")
 
 
 class Insufficient(Exception):
@@ -162,10 +172,13 @@ def _load_labels(annotations_dir: Path | None, task: str) -> dict[str, str] | No
     return load_run(path).labels
 
 
-def _steps(values: list[int | float]) -> list[dict]:
-    if not values:
-        return []
-    return [{"x": x, "fraction": f} for x, f in Ecdf(values).steps()]
+def _ecdf(values: list[int | float], empty_note: str | None = None) -> dict:
+    out: dict = {"n": len(values), "points": []}
+    if values:
+        out["points"] = [{"x": x, "fraction": f} for x, f in Ecdf(values).steps()]
+    elif empty_note:
+        out["note"] = empty_note
+    return out
 
 
 def _logit_row(count: int, total: int) -> dict:
@@ -181,7 +194,53 @@ def _logit_row(count: int, total: int) -> dict:
     }
 
 
+def _tally(labeled: list[tuple[_Utt, str]], key) -> dict[object, Counter]:
+    """Label counts per group; a group never seen reads as an empty Counter."""
+    groups: dict[object, Counter] = defaultdict(Counter)
+    for utt, label in labeled:
+        groups[key(utt)][label] += 1
+    return groups
+
+
+def _logit_groups(groups: dict[str, Counter], categories: list[str], inner: str, why: str) -> dict:
+    out = {}
+    for name, counts in groups.items():
+        total = sum(counts.values())
+        if total:
+            out[name] = {"total": total, inner: {c: _logit_row(counts[c], total) for c in categories}}
+        else:
+            out[name] = {"insufficient_data": why.format(name)}
+    return out
+
+
+def _chi2(
+    counts: dict[str, Counter], rows: tuple[str, ...], categories: list[str], why: str, empty_row: str = ""
+):
+    """Chi-squared over ``rows`` x the observed ``categories``; returns (kept categories, result).
+
+    Fewer than two observed categories raises ``why``; an empty row raises
+    ``empty_row``, or ``why`` when that is not given.
+    """
+    kept = [c for c in categories if any(counts[r][c] for r in rows)]
+    if len(kept) < 2:
+        raise Insufficient(why)
+    if not all(counts[r] for r in rows):
+        raise Insufficient(empty_row or why)
+    result = chi_squared([[counts[r][c] for c in kept] for r in rows])
+    return kept, {"statistic": result.statistic, "df": result.df, "p_value": result.p_value}
+
+
+def _spearman(xs: list[float], ys: list[float], **extra) -> dict:
+    try:
+        result = spearman(xs, ys)
+    except ValueError as exc:
+        return {"note": str(exc)}
+    return {"rho": result.rho, "p_value": result.p_value, **extra}
+
+
 class _Analyzer:
+    """One method per report section, named as in ``SECTIONS``."""
+
     def __init__(self, corpus_dir: Path, annotations_dir: Path | None):
         (
             self.games,
@@ -193,207 +252,69 @@ class _Analyzer:
         self.failures = count_failures(corpus_dir)
         self.completed = [g for g in self.games if g.completed]
         self.outcome_by_game = {g.game_id: g.winner for g in self.games}
-        self.speech_labels = _load_labels(annotations_dir, "speech_act")
-        self.deception_labels = _load_labels(annotations_dir, "deception")
+        self.labels = {task: _load_labels(annotations_dir, task) for task in TASK_LABELS}
+        spoken = [u for u in self.utterances if not u.abstained]
+        self._labeled_by_task: dict[str, list[tuple[_Utt, str]]] = {}
+        for task, valid in TASK_LABELS.items():
+            labels = self.labels[task]
+            if labels is not None:
+                self._labeled_by_task[task] = [
+                    (u, labels[u.key]) for u in spoken if labels.get(u.key) in valid
+                ]
         self.notes: list[str] = []
 
-    # ---- helpers over annotated utterances ----
+    def _labeled(self, task: str) -> list[tuple[_Utt, str]]:
+        """Spoken utterances whose run-0 ``task`` label is one of the task's categories."""
+        if task not in self._labeled_by_task:
+            raise Insufficient(f"no {task} annotations supplied")
+        return self._labeled_by_task[task]
 
-    def _spoken(self) -> list[_Utt]:
-        return [u for u in self.utterances if not u.abstained]
+    def _completed_only(self, labeled: list[tuple[_Utt, str]], why: str) -> list[tuple[_Utt, str]]:
+        kept = [(u, lab) for u, lab in labeled if self.outcome_by_game.get(u.game_id) in ("crew", "impostor")]
+        if not kept:
+            raise Insufficient(why)
+        return kept
 
-    def _speech_acts(self) -> list[tuple[_Utt, str]]:
-        if self.speech_labels is None:
-            raise Insufficient("no speech_act annotations supplied")
-        return [
-            (u, self.speech_labels[u.key])
-            for u in self._spoken()
-            if u.key in self.speech_labels and self.speech_labels[u.key] in SPEECH_ACTS
-        ]
-
-    def _deceptions(self) -> list[tuple[_Utt, str]]:
-        if self.deception_labels is None:
-            raise Insufficient("no deception annotations supplied")
-        return [
-            (u, self.deception_labels[u.key])
-            for u in self._spoken()
-            if u.key in self.deception_labels and self.deception_labels[u.key] in DECEPTION_TYPES
-        ]
-
-    # ---- sections ----
-
-    def counts(self) -> dict:
-        opportunities = len(self.utterances)
-        abstentions = sum(1 for u in self.utterances if u.abstained)
-        out = {
-            "games": len(self.games),
-            "completed": len(self.completed),
-            "timeouts": sum(1 for g in self.games if g.reason == "timeout"),
-            "failed_records": self.failures,
-            "utterance_opportunities": opportunities,
-            "abstentions": abstentions,
-            "spoken": opportunities - abstentions,
-        }
-        if self.speech_labels is not None:
-            classified = sum(1 for v in self.speech_labels.values() if v in SPEECH_ACTS)
-            unclassifiable = sum(1 for v in self.speech_labels.values() if v == UNCLASSIFIABLE)
-            out["speech_act"] = {
-                "classified": classified,
-                "unclassifiable": unclassifiable,
-                "reconciles": classified + unclassifiable == out["spoken"],
-            }
-        if self.deception_labels is not None:
-            classified = sum(
-                1 for v in self.deception_labels.values() if v in DECEPTION_TYPES and v != "missing"
-            )
-            missing = sum(1 for v in self.deception_labels.values() if v == "missing")
-            out["deception"] = {
-                "classified": classified,
-                "missing": missing,
-                "reconciles": classified + missing == out["spoken"],
-            }
-        return out
-
-    def win_rates(self) -> dict:
-        out = {}
-        for label in sorted({g.label for g in self.games}):
-            rows = [g for g in self.games if g.label == label]
-            crew = sum(1 for g in rows if g.winner == "crew")
-            impostor = sum(1 for g in rows if g.winner == "impostor")
-            timeouts = sum(1 for g in rows if g.reason == "timeout")
-            decided = crew + impostor
-            out[label] = {
-                "games": len(rows),
-                "crew_wins": crew,
-                "impostor_wins": impostor,
-                "timeouts": timeouts,
-                "crew_win_rate": crew / decided if decided else None,
-            }
-        return out
-
-    def win_round_ecdf(self) -> dict:
-        out = {}
-        for label in sorted({g.label for g in self.games}):
-            per_winner = {}
-            for winner in ("crew", "impostor"):
-                rounds = [g.end_round for g in self.games if g.label == label and g.winner == winner]
-                per_winner[winner] = {"n": len(rounds), "points": _steps(rounds)}
-            out[label] = per_winner
-        return out
-
-    def meeting_ecdf(self) -> dict:
-        out = {}
-        for label in sorted(self.meeting_rounds):
-            discussions = self.meeting_rounds[label]
-            ejections = self.ejection_rounds[label]
-            out[label] = {
-                "discussions": {
-                    "n": len(discussions),
-                    "points": _steps(discussions),
-                    **({} if discussions else {"note": "no meetings"}),
-                },
-                "ejections": {
-                    "n": len(ejections),
-                    "points": _steps(ejections),
-                    **({} if ejections else {"note": "no ejections"}),
-                },
-            }
-        return out
-
-    def _design(self, rows: list[_Game], predictors: dict[str, list[float]], y: list[int]) -> dict:
-        kept, dropped = [], []
-        for name, column in predictors.items():
-            if min(column) == max(column):
-                dropped.append(name)
-            else:
-                kept.append(name)
+    def _design(self, winner: str, predictors: dict[str, list[float]]) -> dict:
+        """Logistic regression of ``winner`` victory over completed games."""
+        rows = self.completed
+        if len(rows) < 8:
+            raise Insufficient(f"need at least 8 completed games, have {len(rows)}")
+        y = [1 if g.winner == winner else 0 for g in rows]
+        if min(y) == max(y):
+            raise Insufficient("all completed games have the same winner")
+        kept = [name for name, column in predictors.items() if min(column) != max(column)]
+        dropped = [name for name in predictors if name not in kept]
         if dropped:
             self.notes.append(f"regression dropped constant predictors: {dropped}")
         if not kept:
             raise Insufficient("all predictors are constant")
-        X = np.column_stack(
-            [np.ones(len(rows))] + [np.asarray(predictors[name], dtype=float) for name in kept]
-        )
+
+        def design(names: list[str]) -> np.ndarray:
+            columns = [np.asarray(predictors[name], dtype=float) for name in names]
+            return np.column_stack([np.ones(len(rows))] + columns)
+
+        X = design(kept)
         redundant = collinear_columns(X, ["intercept"] + kept)
         if redundant:
             self.notes.append(f"regression dropped collinear predictors: {redundant}")
             kept = [name for name in kept if name not in redundant]
             if not kept:
                 raise Insufficient("no independent predictors remain")
-            X = np.column_stack(
-                [np.ones(len(rows))] + [np.asarray(predictors[name], dtype=float) for name in kept]
-            )
+            X = design(kept)
         fit = logistic_fit(X, np.asarray(y, dtype=float), names=["intercept"] + kept)
-        out = fit.to_dict()
-        out["dropped_constant"] = dropped
-        out["dropped_collinear"] = redundant
-        out["n"] = len(rows)
-        return out
-
-    def win_regression(self) -> dict:
-        rows = self.completed
-        if len(rows) < 8:
-            raise Insufficient(f"need at least 8 completed games, have {len(rows)}")
-        y = [1 if g.winner == "crew" else 0 for g in rows]
-        if min(y) == max(y):
-            raise Insufficient("all completed games have the same winner")
-        predictors = {
-            "num_crew": [g.num_crew for g in rows],
-            "num_impostors": [g.num_impostors for g in rows],
-            "num_discussions": [g.num_discussions for g in rows],
-            "num_ejects": [g.num_ejects for g in rows],
-            "words_per_discussion": [g.words_per_discussion for g in rows],
-            "words_per_utterance": [g.words_per_utterance for g in rows],
-        }
-        return self._design(rows, predictors, y)
-
-    def speech_act_by_role(self) -> dict:
-        labeled = self._speech_acts()
-        out = {}
-        for role in ("crewmate", "impostor"):
-            counts = Counter(label for utt, label in labeled if utt.role == role)
-            total = sum(counts.values())
-            if total == 0:
-                out[role] = {"insufficient_data": f"no classified utterances for {role}"}
-                continue
-            out[role] = {
-                "total": total,
-                "acts": {act: _logit_row(counts.get(act, 0), total) for act in SPEECH_ACTS},
-            }
-        return out
-
-    def role_act_chi2(self) -> dict:
-        labeled = self._speech_acts()
-        counts = {
-            role: Counter(label for utt, label in labeled if utt.role == role)
-            for role in ("crewmate", "impostor")
-        }
-        acts = [a for a in SPEECH_ACTS if counts["crewmate"].get(a, 0) + counts["impostor"].get(a, 0) > 0]
-        if len(acts) < 2:
-            raise Insufficient("fewer than two speech-act categories observed")
-        dropped = [a for a in SPEECH_ACTS if a not in acts]
-        table = [[counts[role].get(a, 0) for a in acts] for role in ("crewmate", "impostor")]
-        result = chi_squared(table)
-        return {
-            "acts": acts,
-            "dropped_empty": dropped,
-            "statistic": result.statistic,
-            "df": result.df,
-            "p_value": result.p_value,
-        }
+        return {**fit.to_dict(), "dropped_constant": dropped, "dropped_collinear": redundant, "n": len(rows)}
 
     def _act_two_by_two(self, labeled, split, order: tuple[str, str]) -> dict:
         """Per-act 2x2 contrasts; OR > 1 means the act leans toward order[0]."""
-        groups = {name: Counter() for name in order}
-        for utt, label in labeled:
-            groups[split(utt)][label] += 1
-        out = {}
+        groups = _tally(labeled, split)
         first, second = order
         n1, n2 = sum(groups[first].values()), sum(groups[second].values())
         if n1 == 0 or n2 == 0:
             raise Insufficient(f"no classified utterances for one of {order}")
+        out = {}
         for act in SPEECH_ACTS:
-            k1, k2 = groups[first].get(act, 0), groups[second].get(act, 0)
+            k1, k2 = groups[first][act], groups[second][act]
             if k1 + k2 == 0:
                 continue
             entry: dict = {"groups": [first, second], "counts": [k1, k2], "totals": [n1, n2]}
@@ -415,24 +336,98 @@ class _Analyzer:
             out[act] = entry
         return out
 
+    # ---- sections ----
+
+    def counts(self) -> dict:
+        opportunities = len(self.utterances)
+        abstentions = sum(1 for u in self.utterances if u.abstained)
+        out = {
+            "games": len(self.games),
+            "completed": len(self.completed),
+            "timeouts": sum(1 for g in self.games if g.reason == "timeout"),
+            "failed_records": self.failures,
+            "utterance_opportunities": opportunities,
+            "abstentions": abstentions,
+            "spoken": opportunities - abstentions,
+        }
+        # Every spoken utterance is either classified or carries the task's no-label value.
+        for task, no_label in (("speech_act", UNCLASSIFIABLE), ("deception", "missing")):
+            labels, valid = self.labels[task], TASK_LABELS[task]
+            if labels is None:
+                continue
+            classified = sum(1 for v in labels.values() if v in valid and v != no_label)
+            unlabeled = sum(1 for v in labels.values() if v == no_label)
+            out[task] = {
+                "classified": classified,
+                no_label: unlabeled,
+                "reconciles": classified + unlabeled == out["spoken"],
+            }
+        return out
+
+    def win_rates(self) -> dict:
+        out = {}
+        for label in sorted({g.label for g in self.games}):
+            rows = [g for g in self.games if g.label == label]
+            crew = sum(1 for g in rows if g.winner == "crew")
+            impostor = sum(1 for g in rows if g.winner == "impostor")
+            decided = crew + impostor
+            out[label] = {
+                "games": len(rows),
+                "crew_wins": crew,
+                "impostor_wins": impostor,
+                "timeouts": sum(1 for g in rows if g.reason == "timeout"),
+                "crew_win_rate": crew / decided if decided else None,
+            }
+        return out
+
+    def win_round_ecdf(self) -> dict:
+        return {
+            label: {
+                winner: _ecdf([g.end_round for g in self.games if g.label == label and g.winner == winner])
+                for winner in ("crew", "impostor")
+            }
+            for label in sorted({g.label for g in self.games})
+        }
+
+    def meeting_ecdf(self) -> dict:
+        return {
+            label: {
+                "discussions": _ecdf(self.meeting_rounds[label], "no meetings"),
+                "ejections": _ecdf(self.ejection_rounds[label], "no ejections"),
+            }
+            for label in sorted(self.meeting_rounds)
+        }
+
+    def win_regression(self) -> dict:
+        rows = self.completed
+        return self._design("crew", {name: [getattr(g, name) for g in rows] for name in WIN_PREDICTORS})
+
+    def speech_act_by_role(self) -> dict:
+        by_role = _tally(self._labeled("speech_act"), _role)
+        groups = {role: by_role[role] for role in ROLES}
+        return _logit_groups(groups, SPEECH_ACTS, "acts", "no classified utterances for {}")
+
+    def role_act_chi2(self) -> dict:
+        by_role = _tally(self._labeled("speech_act"), _role)
+        acts, result = _chi2(
+            by_role,
+            ROLES,
+            SPEECH_ACTS,
+            "fewer than two speech-act categories observed",
+            empty_row=f"no classified utterances for one of {ROLES}",
+        )
+        return {"acts": acts, "dropped_empty": [a for a in SPEECH_ACTS if a not in acts], **result}
+
     def speech_act_role_odds(self) -> dict:
         """Odds of each act for impostors vs crew (OR > 1 = impostor-leaning)."""
-        labeled = self._speech_acts()
-        return self._act_two_by_two(
-            labeled,
-            lambda utt: "impostor" if utt.role == "impostor" else "crewmate",
-            order=("impostor", "crewmate"),
-        )
+        labeled = self._labeled("speech_act")
+        return self._act_two_by_two(labeled, _role, order=("impostor", "crewmate"))
 
     def speech_act_outcome_odds(self) -> dict:
         """Odds of each act in crew-win games vs impostor-win games."""
-        labeled = [
-            (utt, label)
-            for utt, label in self._speech_acts()
-            if self.outcome_by_game.get(utt.game_id) in ("crew", "impostor")
-        ]
-        if not labeled:
-            raise Insufficient("no classified utterances in completed games")
+        labeled = self._completed_only(
+            self._labeled("speech_act"), "no classified utterances in completed games"
+        )
         return self._act_two_by_two(
             labeled,
             lambda utt: "crew_win" if self.outcome_by_game[utt.game_id] == "crew" else "impostor_win",
@@ -443,142 +438,87 @@ class _Analyzer:
         """Speech acts inside meetings that ended with an ejection."""
         labeled = [
             (utt, label)
-            for utt, label in self._speech_acts()
+            for utt, label in self._labeled("speech_act")
             if (utt.game_id, utt.meeting_index) in self.ejected_meetings
         ]
         if not labeled:
             raise Insufficient("no classified utterances in ejection meetings")
-        counts = {
-            role: Counter(label for utt, label in labeled if utt.role == role)
-            for role in ("crewmate", "impostor")
-        }
+        by_role = _tally(labeled, _role)
         shares = {}
-        for role, counter in counts.items():
-            total = sum(counter.values())
+        for role in ROLES:
+            total = sum(by_role[role].values())
             shares[role] = {
                 "total": total,
-                "acts": {act: (counter.get(act, 0) / total if total else None) for act in SPEECH_ACTS},
+                "acts": {act: (by_role[role][act] / total if total else None) for act in SPEECH_ACTS},
             }
-        acts = [a for a in SPEECH_ACTS if counts["crewmate"].get(a, 0) + counts["impostor"].get(a, 0) > 0]
         out: dict = {"shares": shares, "n_utterances": len(labeled)}
-        if len(acts) >= 2 and all(sum(counts[role].values()) > 0 for role in counts):
-            table = [[counts[role].get(a, 0) for a in acts] for role in ("crewmate", "impostor")]
-            result = chi_squared(table)
-            out["chi2"] = {"acts": acts, "statistic": result.statistic, "df": result.df, "p_value": result.p_value}
-        else:
-            out["chi2"] = {"insufficient_data": "need both roles and two acts in ejection meetings"}
+        try:
+            why = "need both roles and two acts in ejection meetings"
+            acts, result = _chi2(by_role, ROLES, SPEECH_ACTS, why)
+            out["chi2"] = {"acts": acts, **result}
+        except Insufficient as exc:
+            out["chi2"] = {"insufficient_data": str(exc)}
         return out
 
     def deception_proportions(self) -> dict:
-        labeled = self._deceptions()
+        labeled = self._labeled("deception")
+        by_outcome = _tally(labeled, lambda u: self.outcome_by_game.get(u.game_id))
+        by_role = _tally(labeled, _role)
         groups = {
-            "crew_win": lambda u: self.outcome_by_game.get(u.game_id) == "crew",
-            "impostor_win": lambda u: self.outcome_by_game.get(u.game_id) == "impostor",
-            "impostor": lambda u: u.role == "impostor",
-            "crewmate": lambda u: u.role == "crewmate",
+            "crew_win": by_outcome["crew"],
+            "impostor_win": by_outcome["impostor"],
+            "impostor": by_role["impostor"],
+            "crewmate": by_role["crewmate"],
         }
-        out = {}
-        for name, keep in groups.items():
-            counts = Counter(label for utt, label in labeled if keep(utt))
-            total = sum(counts.values())
-            if total == 0:
-                out[name] = {"insufficient_data": f"no labeled utterances in group {name}"}
-                continue
-            out[name] = {
-                "total": total,
-                "types": {t: _logit_row(counts.get(t, 0), total) for t in DECEPTION_TYPES},
-            }
-        return out
+        return _logit_groups(groups, DECEPTION_TYPES, "types", "no labeled utterances in group {}")
 
     def deception_outcome_chi2(self) -> dict:
-        labeled = [
-            (utt, label)
-            for utt, label in self._deceptions()
-            if self.outcome_by_game.get(utt.game_id) in ("crew", "impostor")
-        ]
-        if not labeled:
-            raise Insufficient("no labeled utterances in completed games")
-        counts = {
-            winner: Counter(
-                label
-                for utt, label in labeled
-                if self.outcome_by_game[utt.game_id] == winner
-            )
-            for winner in ("crew", "impostor")
-        }
-        types = [t for t in DECEPTION_TYPES if counts["crew"].get(t, 0) + counts["impostor"].get(t, 0) > 0]
-        if len(types) < 2 or any(sum(c.values()) == 0 for c in counts.values()):
-            raise Insufficient("need both outcomes and two deception types")
-        table = [[counts[w].get(t, 0) for t in types] for w in ("crew", "impostor")]
-        result = chi_squared(table)
-        return {"types": types, "statistic": result.statistic, "df": result.df, "p_value": result.p_value}
-
-    def _per_game_type_counts(self) -> dict[str, Counter]:
-        counts: dict[str, Counter] = {}
-        for utt, label in self._deceptions():
-            counts.setdefault(utt.game_id, Counter())[label] += 1
-        return counts
+        labeled = self._completed_only(
+            self._labeled("deception"), "no labeled utterances in completed games"
+        )
+        by_winner = _tally(labeled, lambda u: self.outcome_by_game[u.game_id])
+        types, result = _chi2(
+            by_winner, ("crew", "impostor"), DECEPTION_TYPES, "need both outcomes and two deception types"
+        )
+        return {"types": types, **result}
 
     def deception_vs_ejections(self) -> dict:
-        counts = self._per_game_type_counts()
-        rows = [g for g in self.completed]
+        by_game = _tally(self._labeled("deception"), _game)
+        rows = self.completed
         if len(rows) < 3:
             raise Insufficient("need at least 3 completed games")
-        out = {}
         ejections = [float(g.num_ejects) for g in rows]
-        for dtype in DECEPTION_TYPES:
-            xs = [float(counts.get(g.game_id, Counter()).get(dtype, 0)) for g in rows]
-            try:
-                result = spearman(xs, ejections)
-                out[dtype] = {"rho": result.rho, "p_value": result.p_value, "n": len(rows)}
-            except ValueError as exc:
-                out[dtype] = {"note": str(exc)}
-        return out
+        return {
+            dtype: _spearman([float(by_game[g.game_id][dtype]) for g in rows], ejections, n=len(rows))
+            for dtype in DECEPTION_TYPES
+        }
 
     def speech_deception_spearman(self) -> dict:
         """Game-level coupling: deception-type rate vs speech-act share."""
-        speech = self._speech_acts()
-        deception = self._deceptions()
-        acts_by_game: dict[str, Counter] = {}
-        for utt, label in speech:
-            acts_by_game.setdefault(utt.game_id, Counter())[label] += 1
-        dec_by_game: dict[str, Counter] = {}
-        for utt, label in deception:
-            dec_by_game.setdefault(utt.game_id, Counter())[label] += 1
+        acts_by_game = _tally(self._labeled("speech_act"), _game)
+        dec_by_game = _tally(self._labeled("deception"), _game)
         games = sorted(set(acts_by_game) & set(dec_by_game))
         if len(games) < 3:
             raise Insufficient("need at least 3 games with both annotation tasks")
-        out = {}
+        acts_total = {g: sum(acts_by_game[g].values()) for g in games}
+        dec_total = {g: sum(dec_by_game[g].values()) for g in games}
+        out: dict = {}
         for dtype in ("falsification", "concealment", "equivocation"):
-            row = {}
-            xs = [
-                dec_by_game[g][dtype] / sum(dec_by_game[g].values()) for g in games
-            ]
-            for act in SPEECH_ACTS:
-                ys = [acts_by_game[g].get(act, 0) / sum(acts_by_game[g].values()) for g in games]
-                try:
-                    result = spearman(xs, ys)
-                    row[act] = {"rho": result.rho, "p_value": result.p_value}
-                except ValueError as exc:
-                    row[act] = {"note": str(exc)}
-            out[dtype] = row
+            xs = [dec_by_game[g][dtype] / dec_total[g] for g in games]
+            out[dtype] = {
+                act: _spearman(xs, [acts_by_game[g][act] / acts_total[g] for g in games])
+                for act in SPEECH_ACTS
+            }
         out["n_games"] = len(games)
         return out
 
     def deception_win_regression(self) -> dict:
         """Impostor victory (y=1) predicted from per-game deception counts."""
-        counts = self._per_game_type_counts()
-        rows = self.completed
-        if len(rows) < 8:
-            raise Insufficient(f"need at least 8 completed games, have {len(rows)}")
-        y = [1 if g.winner == "impostor" else 0 for g in rows]
-        if min(y) == max(y):
-            raise Insufficient("all completed games have the same winner")
-        predictors = {
-            dtype: [float(counts.get(g.game_id, Counter()).get(dtype, 0)) for g in rows]
-            for dtype in DECEPTION_TYPES
-        }
-        return self._design(rows, predictors, y)
+        by_game = _tally(self._labeled("deception"), _game)
+        return self._design(
+            "impostor",
+            {dtype: [float(by_game[g.game_id][dtype]) for g in self.completed] for dtype in DECEPTION_TYPES},
+        )
 
     def cross_role_dynamics(self) -> dict:
         """Representative-share by role across successive meetings.
@@ -587,55 +527,163 @@ class _Analyzer:
         ordinal and compared with a lag-1 rank correlation, since the exact
         pairing underlying round-to-round carryover is not pinned down.
         """
-        labeled = self._speech_acts()
-        by_ordinal: dict[int, dict[str, Counter]] = {}
-        for utt, label in labeled:
-            by_ordinal.setdefault(utt.meeting_index, {}).setdefault(utt.role, Counter())[label] += 1
-        shares = []
-        series: dict[str, list[float]] = {"crewmate": [], "impostor": []}
-        for ordinal in sorted(by_ordinal):
-            for role in ("crewmate", "impostor"):
-                counter = by_ordinal[ordinal].get(role)
-                if not counter:
-                    continue
-                total = sum(counter.values())
-                share = counter.get("representatives", 0) / total
-                shares.append({"meeting_ordinal": ordinal, "role": role, "share": share, "n": total})
-        ordinals = sorted(
-            o for o in by_ordinal if all(role in by_ordinal[o] for role in ("crewmate", "impostor"))
-        )
-        for role in series:
-            series[role] = [
-                by_ordinal[o][role].get("representatives", 0) / sum(by_ordinal[o][role].values())
-                for o in ordinals
-            ]
-        out: dict = {"representative_share": shares, "note": "approximate analysis; see docstring"}
-        deltas = {
-            role: [round(b - a, 12) for a, b in zip(values, values[1:])]
-            for role, values in series.items()
+        by_meeting = _tally(self._labeled("speech_act"), attrgetter("meeting_index", "role"))
+
+        def share(key: tuple[int, str]) -> float:
+            return by_meeting[key]["representatives"] / sum(by_meeting[key].values())
+
+        shares = [
+            {
+                "meeting_ordinal": o,
+                "role": role,
+                "share": share((o, role)),
+                "n": sum(by_meeting[o, role].values()),
+            }
+            for o, role in sorted(by_meeting)
+        ]
+        ordinals = sorted({o for o, _ in by_meeting if all((o, role) in by_meeting for role in ROLES)})
+        series = {role: [share((o, role)) for o in ordinals] for role in ROLES}
+        out: dict = {
+            "representative_share": shares,
+            "note": "approximate analysis; see docstring",
+            "deltas": {
+                role: [round(b - a, 12) for a, b in zip(values, values[1:])]
+                for role, values in series.items()
+            },
         }
-        out["deltas"] = deltas
         if len(ordinals) >= 4:
-            try:
-                lead = spearman(series["impostor"][:-1], series["crewmate"][1:])
-                out["impostor_leads_crew"] = {"rho": lead.rho, "p_value": lead.p_value}
-            except ValueError as exc:
-                out["impostor_leads_crew"] = {"note": str(exc)}
-            try:
-                lead = spearman(series["crewmate"][:-1], series["impostor"][1:])
-                out["crew_leads_impostor"] = {"rho": lead.rho, "p_value": lead.p_value}
-            except ValueError as exc:
-                out["crew_leads_impostor"] = {"note": str(exc)}
+            out["impostor_leads_crew"] = _spearman(series["impostor"][:-1], series["crewmate"][1:])
+            out["crew_leads_impostor"] = _spearman(series["crewmate"][:-1], series["impostor"][1:])
         else:
             out["lagged"] = {"insufficient_data": "need at least 4 meeting ordinals with both roles"}
         return out
 
 
-def _run_section(report: AnalysisReport, name: str, builder) -> None:
-    try:
-        report.sections[name] = builder()
-    except Insufficient as exc:
-        report.sections[name] = {"insufficient_data": str(exc)}
+# ---- exports: each writes one section's CSV (and SVG) from its report dict ----
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_cells(out: Path, name: str, data: dict, keys: list[str], fields: list[str]) -> None:
+    """One row per cell, keyed by ``len(keys)`` levels of nesting; non-dict entries are skipped."""
+    cells = [((key,), cell) for key, cell in data.items() if isinstance(cell, dict)]
+    if len(keys) == 2:
+        cells = [((outer, inner), cell) for (outer,), row in cells for inner, cell in row.items()]
+    rows = [[*key, *(cell.get(f, "" if f == "note" else None) for f in fields)] for key, cell in cells]
+    _write_csv(out / f"{name}.csv", keys + fields, rows)
+
+
+def _write_ecdf(out: Path, name: str, data: dict, series_column: str, title: str) -> None:
+    rows, series = [], []
+    for label, curves in data.items():
+        for curve, ecdf in curves.items():
+            rows.extend([label, curve, p["x"], p["fraction"]] for p in ecdf["points"])
+            if ecdf["points"]:
+                series.append((f"{label}/{curve}", [(p["x"], p["fraction"]) for p in ecdf["points"]]))
+    _write_csv(out / f"{name}.csv", ["config", series_column, "round", "fraction"], rows)
+    svg.step_plot(out / f"{name}.svg", series, title, "round")
+
+
+def _write_regression(out: Path, name: str, data: dict, title: str | None = None) -> None:
+    columns = ["beta", "se", "ci_low", "ci_high"]
+    rows = [list(row) for row in zip(data["names"], *(data[c] for c in columns))]
+    _write_csv(out / f"{name}.csv", ["predictor"] + columns, rows)
+    if title is not None:
+        plot_rows = [(r[0], r[1], r[3], r[4]) for r in rows if r[0] != "intercept"]
+        svg.interval_plot(out / f"{name}.svg", plot_rows, title, "beta", reference=0.0)
+
+
+def _write_logits(
+    out: Path, name: str, data: dict, columns: list[str], inner: str, plot: str | None = None, title: str = ""
+) -> None:
+    """Logit-proportion cells per group; the SVG, if any, draws group ``plot``."""
+    rows, plot_rows = [], []
+    for group, cells in data.items():
+        for category, cell in cells.get(inner, {}).items():
+            rows.append([group, category, *(cell[f] for f in LOGIT_FIELDS)])
+            if group == plot:
+                plot_rows.append((category, cell["logit"], cell["ci_low"], cell["ci_high"]))
+    _write_csv(out / f"{name}.csv", columns + LOGIT_FIELDS, rows)
+    if plot is not None:
+        svg.interval_plot(out / f"{name}.svg", plot_rows, title, "logit proportion")
+
+
+def _write_role_odds(out: Path, name: str, data: dict) -> None:
+    _write_cells(out, name, data, ["act"], ["odds_ratio", "ci_low", "ci_high", "z", "z_p_value", "note"])
+    plot_rows = [
+        (act, cell["odds_ratio"], cell["ci_low"], cell["ci_high"])
+        for act, cell in data.items()
+        if "odds_ratio" in cell
+    ]
+    title = "Speech-act odds, impostor vs crew"
+    svg.interval_plot(out / f"{name}.svg", plot_rows, title, "odds ratio", reference=1.0, log_x=True)
+
+
+def _write_pre_ejection(out: Path, name: str, data: dict) -> None:
+    rows = [
+        [role, act, share] for role, by_act in data["shares"].items() for act, share in by_act["acts"].items()
+    ]
+    _write_csv(out / f"{name}_shares.csv", ["role", "act", "share"], rows)
+
+
+def _write_dynamics(out: Path, name: str, data: dict) -> None:
+    rows = [[r["meeting_ordinal"], r["role"], r["share"], r["n"]] for r in data["representative_share"]]
+    _write_csv(out / f"{name}.csv", ["meeting_ordinal", "role", "representative_share", "n"], rows)
+
+
+# The report, in order: each section's ``_Analyzer`` method name and the
+# writer of its files under ``out_dir`` (None: report.json only). Builders and
+# writers reach ``svg`` and the stats functions through this module's globals
+# at call time, never through a reference taken here, so that
+# ``bench/tracing.py`` can patch them and count the calls.
+SECTIONS = (
+    ("counts", None),
+    (
+        "win_rates",
+        partial(
+            _write_cells,
+            keys=["config"],
+            fields=["games", "crew_wins", "impostor_wins", "timeouts", "crew_win_rate"],
+        ),
+    ),
+    ("win_round_ecdf", partial(_write_ecdf, series_column="winner", title="Cumulative wins over rounds")),
+    (
+        "meeting_ecdf",
+        partial(_write_ecdf, series_column="series", title="Meetings and ejections over rounds"),
+    ),
+    ("win_regression", partial(_write_regression, title="Log-odds of crew victory")),
+    ("speech_act_by_role", partial(_write_logits, columns=["role", "act"], inner="acts")),
+    ("role_act_chi2", None),
+    ("speech_act_role_odds", _write_role_odds),
+    (
+        "speech_act_outcome_odds",
+        partial(_write_cells, keys=["act"], fields=["odds_ratio", "ci_low", "ci_high", "note"]),
+    ),
+    ("pre_ejection", _write_pre_ejection),
+    (
+        "deception_proportions",
+        partial(
+            _write_logits,
+            columns=["group", "type"],
+            inner="types",
+            plot="impostor",
+            title="Deception-type logit proportions (impostor utterances)",
+        ),
+    ),
+    ("deception_outcome_chi2", None),
+    ("deception_vs_ejections", partial(_write_cells, keys=["type"], fields=["rho", "p_value", "note"])),
+    (
+        "speech_deception_spearman",
+        partial(_write_cells, keys=["deception", "act"], fields=["rho", "p_value", "note"]),
+    ),
+    ("deception_win_regression", _write_regression),
+    ("cross_role_dynamics", _write_dynamics),
+)
 
 
 def analyze(
@@ -648,226 +696,18 @@ def analyze(
     if not analyzer.games:
         raise ValueError(f"no game records found under {corpus_dir}")
     report = AnalysisReport()
-    _run_section(report, "counts", analyzer.counts)
-    _run_section(report, "win_rates", analyzer.win_rates)
-    _run_section(report, "win_round_ecdf", analyzer.win_round_ecdf)
-    _run_section(report, "meeting_ecdf", analyzer.meeting_ecdf)
-    _run_section(report, "win_regression", analyzer.win_regression)
-    _run_section(report, "speech_act_by_role", analyzer.speech_act_by_role)
-    _run_section(report, "role_act_chi2", analyzer.role_act_chi2)
-    _run_section(report, "speech_act_role_odds", analyzer.speech_act_role_odds)
-    _run_section(report, "speech_act_outcome_odds", analyzer.speech_act_outcome_odds)
-    _run_section(report, "pre_ejection", analyzer.pre_ejection)
-    _run_section(report, "deception_proportions", analyzer.deception_proportions)
-    _run_section(report, "deception_outcome_chi2", analyzer.deception_outcome_chi2)
-    _run_section(report, "deception_vs_ejections", analyzer.deception_vs_ejections)
-    _run_section(report, "speech_deception_spearman", analyzer.speech_deception_spearman)
-    _run_section(report, "deception_win_regression", analyzer.deception_win_regression)
-    _run_section(report, "cross_role_dynamics", analyzer.cross_role_dynamics)
+    for name, _ in SECTIONS:
+        try:
+            report.sections[name] = getattr(analyzer, name)()
+        except Insufficient as exc:
+            report.sections[name] = {"insufficient_data": str(exc)}
     report.notes = analyzer.notes
 
     if out_dir is not None:
-        _export(report, Path(out_dir))
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+        for name, export in SECTIONS:
+            if export is not None and "insufficient_data" not in report.sections[name]:
+                export(out, name, report.sections[name])
     return report
-
-
-# ---- exports ----
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _export(report: AnalysisReport, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    sections = report.sections
-
-    win_rates = sections.get("win_rates", {})
-    if "insufficient_data" not in win_rates:
-        _write_csv(
-            out / "win_rates.csv",
-            ["config", "games", "crew_wins", "impostor_wins", "timeouts", "crew_win_rate"],
-            [
-                [label, row["games"], row["crew_wins"], row["impostor_wins"], row["timeouts"], row["crew_win_rate"]]
-                for label, row in win_rates.items()
-            ],
-        )
-
-    ecdf_section = sections.get("win_round_ecdf", {})
-    if "insufficient_data" not in ecdf_section:
-        rows = []
-        series = []
-        for label, winners in ecdf_section.items():
-            for winner, data in winners.items():
-                rows.extend([label, winner, p["x"], p["fraction"]] for p in data["points"])
-                if data["points"]:
-                    series.append((f"{label}/{winner}", [(p["x"], p["fraction"]) for p in data["points"]]))
-        _write_csv(out / "win_round_ecdf.csv", ["config", "winner", "round", "fraction"], rows)
-        svg.step_plot(out / "win_round_ecdf.svg", series, "Cumulative wins over rounds", "round")
-
-    meeting_section = sections.get("meeting_ecdf", {})
-    if "insufficient_data" not in meeting_section:
-        rows = []
-        series = []
-        for label, kinds in meeting_section.items():
-            for kind, data in kinds.items():
-                rows.extend([label, kind, p["x"], p["fraction"]] for p in data["points"])
-                if data["points"]:
-                    series.append((f"{label}/{kind}", [(p["x"], p["fraction"]) for p in data["points"]]))
-        _write_csv(out / "meeting_ecdf.csv", ["config", "series", "round", "fraction"], rows)
-        svg.step_plot(out / "meeting_ecdf.svg", series, "Meetings and ejections over rounds", "round")
-
-    regression = sections.get("win_regression", {})
-    if "insufficient_data" not in regression:
-        rows = [
-            [name, beta, se, lo, hi]
-            for name, beta, se, lo, hi in zip(
-                regression["names"], regression["beta"], regression["se"],
-                regression["ci_low"], regression["ci_high"],
-            )
-        ]
-        _write_csv(out / "win_regression.csv", ["predictor", "beta", "se", "ci_low", "ci_high"], rows)
-        svg.interval_plot(
-            out / "win_regression.svg",
-            [(r[0], r[1], r[3], r[4]) for r in rows if r[0] != "intercept"],
-            "Log-odds of crew victory",
-            "beta",
-            reference=0.0,
-        )
-
-    by_role = sections.get("speech_act_by_role", {})
-    if "insufficient_data" not in by_role:
-        rows = []
-        for role, data in by_role.items():
-            if "acts" not in data:
-                continue
-            for act, cell in data["acts"].items():
-                rows.append(
-                    [role, act, cell["count"], cell["proportion"], cell["logit"], cell["ci_low"], cell["ci_high"]]
-                )
-        _write_csv(
-            out / "speech_act_by_role.csv",
-            ["role", "act", "count", "proportion", "logit", "ci_low", "ci_high"],
-            rows,
-        )
-
-    role_odds = sections.get("speech_act_role_odds", {})
-    if "insufficient_data" not in role_odds:
-        rows = [
-            [act, cell.get("odds_ratio"), cell.get("ci_low"), cell.get("ci_high"),
-             cell.get("z"), cell.get("z_p_value"), cell.get("note", "")]
-            for act, cell in role_odds.items()
-        ]
-        _write_csv(
-            out / "speech_act_role_odds.csv",
-            ["act", "odds_ratio", "ci_low", "ci_high", "z", "z_p_value", "note"],
-            rows,
-        )
-        plot_rows = [
-            (act, cell["odds_ratio"], cell["ci_low"], cell["ci_high"])
-            for act, cell in role_odds.items()
-            if "odds_ratio" in cell
-        ]
-        svg.interval_plot(
-            out / "speech_act_role_odds.svg",
-            plot_rows,
-            "Speech-act odds, impostor vs crew",
-            "odds ratio",
-            reference=1.0,
-            log_x=True,
-        )
-
-    outcome_odds = sections.get("speech_act_outcome_odds", {})
-    if "insufficient_data" not in outcome_odds:
-        _write_csv(
-            out / "speech_act_outcome_odds.csv",
-            ["act", "odds_ratio", "ci_low", "ci_high", "note"],
-            [
-                [act, cell.get("odds_ratio"), cell.get("ci_low"), cell.get("ci_high"), cell.get("note", "")]
-                for act, cell in outcome_odds.items()
-            ],
-        )
-
-    pre_ejection = sections.get("pre_ejection", {})
-    if "insufficient_data" not in pre_ejection:
-        rows = []
-        for role, data in pre_ejection["shares"].items():
-            for act, share in data["acts"].items():
-                rows.append([role, act, share])
-        _write_csv(out / "pre_ejection_shares.csv", ["role", "act", "share"], rows)
-
-    deception = sections.get("deception_proportions", {})
-    if "insufficient_data" not in deception:
-        rows = []
-        plot_rows = []
-        for group, data in deception.items():
-            if "types" not in data:
-                continue
-            for dtype, cell in data["types"].items():
-                rows.append(
-                    [group, dtype, cell["count"], cell["proportion"], cell["logit"], cell["ci_low"], cell["ci_high"]]
-                )
-                if group == "impostor":
-                    plot_rows.append((dtype, cell["logit"], cell["ci_low"], cell["ci_high"]))
-        _write_csv(
-            out / "deception_proportions.csv",
-            ["group", "type", "count", "proportion", "logit", "ci_low", "ci_high"],
-            rows,
-        )
-        svg.interval_plot(
-            out / "deception_proportions.svg",
-            plot_rows,
-            "Deception-type logit proportions (impostor utterances)",
-            "logit proportion",
-        )
-
-    coupling = sections.get("speech_deception_spearman", {})
-    if "insufficient_data" not in coupling:
-        rows = []
-        for dtype, row in coupling.items():
-            if not isinstance(row, dict):
-                continue
-            for act, cell in row.items():
-                rows.append([dtype, act, cell.get("rho"), cell.get("p_value"), cell.get("note", "")])
-        _write_csv(
-            out / "speech_deception_spearman.csv", ["deception", "act", "rho", "p_value", "note"], rows
-        )
-
-    ejections = sections.get("deception_vs_ejections", {})
-    if "insufficient_data" not in ejections:
-        _write_csv(
-            out / "deception_vs_ejections.csv",
-            ["type", "rho", "p_value", "note"],
-            [
-                [dtype, cell.get("rho"), cell.get("p_value"), cell.get("note", "")]
-                for dtype, cell in ejections.items()
-            ],
-        )
-
-    dec_reg = sections.get("deception_win_regression", {})
-    if "insufficient_data" not in dec_reg:
-        _write_csv(
-            out / "deception_win_regression.csv",
-            ["predictor", "beta", "se", "ci_low", "ci_high"],
-            [
-                list(row)
-                for row in zip(
-                    dec_reg["names"], dec_reg["beta"], dec_reg["se"], dec_reg["ci_low"], dec_reg["ci_high"]
-                )
-            ],
-        )
-
-    dynamics = sections.get("cross_role_dynamics", {})
-    if "insufficient_data" not in dynamics:
-        _write_csv(
-            out / "cross_role_dynamics.csv",
-            ["meeting_ordinal", "role", "representative_share", "n"],
-            [
-                [row["meeting_ordinal"], row["role"], row["share"], row["n"]]
-                for row in dynamics["representative_share"]
-            ],
-        )

@@ -81,6 +81,7 @@ def _annotate_run(
     items: list[_Item], backend, task: str, run_id: int, path: Path, echo, pool: ThreadPoolExecutor | None
 ) -> AnnotationRun:
     done: dict[str, str] = {}
+    name = getattr(backend, "name", "?")
     data = path.read_bytes()
     complete = data.rfind(b"\n") + 1
     if complete < len(data):
@@ -89,10 +90,12 @@ def _annotate_run(
         existing = load_run(path)
         if existing.task != task:
             raise ValueError(f"{path} holds task {existing.task!r}, expected {task!r}")
+        if existing.backend != name:
+            raise ValueError(f"{path} holds labels from backend {existing.backend!r}, expected {name!r}")
         done = existing.labels
     with open(path, "a", encoding="utf-8") as fh:
         if path.stat().st_size == 0:
-            meta = AnnotationRun(task=task, run_id=run_id, backend=getattr(backend, "name", "?"))
+            meta = AnnotationRun(task=task, run_id=run_id, backend=name)
             fh.write(json.dumps(meta.meta(), sort_keys=True) + "\n")
         pending = [item for item in items if item.key not in done]
         label = functools.partial(_label, backend=backend, task=task)
@@ -103,7 +106,7 @@ def _annotate_run(
             fh.flush()
         if pending:
             echo(f"{task} run {run_id}: labeled {len(pending)} utterances")
-    return AnnotationRun(task=task, run_id=run_id, backend=getattr(backend, "name", "?"), labels=done)
+    return AnnotationRun(task=task, run_id=run_id, backend=name, labels=done)
 
 
 def annotate_corpus(

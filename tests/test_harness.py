@@ -12,7 +12,8 @@ import pytest
 
 from crewsim.agents.chat import ChatEndpointConfig
 from crewsim.agents.mock_server import MockChatServer, completion_body
-from crewsim.annotate.backends import ChatBackend, RuleBackend
+from crewsim.annotate.backends import ChatBackend, ReplayBackend, RuleBackend
+from crewsim.annotate.labels import UNCLASSIFIABLE
 from crewsim.annotate.classify import deception_template
 from crewsim.engine.replay import verify_record
 from crewsim.harness.analysis import analyze
@@ -149,6 +150,19 @@ def test_annotate_corpus_resumes_partial_run(corpus, tmp_path):
     annotate_corpus(corpus, RuleBackend(), runs=1, out_dir=out_dir)
     resumed = (out_dir / "speech_act.run0.jsonl").read_text()
     assert sorted(resumed.splitlines()) == sorted(complete.splitlines())
+
+
+def test_annotate_corpus_refuses_to_resume_another_backends_run(corpus, tmp_path):
+    out_dir = tmp_path / "ann"
+    annotate_corpus(corpus, RuleBackend(), runs=1, out_dir=out_dir)
+    before = tree_bytes(out_dir)
+    other = ReplayBackend(
+        speech_acts={i.key: "Directives" for i in collect_items(corpus)},
+        deception={i.key: "Equivocation" for i in collect_items(corpus)},
+    )
+    with pytest.raises(ValueError, match="backend 'rules', expected 'replay'"):
+        annotate_corpus(corpus, other, runs=1, out_dir=out_dir)
+    assert tree_bytes(out_dir) == before
 
 
 def test_annotate_corpus_two_runs_skips_stability(corpus, tmp_path):
@@ -316,69 +330,20 @@ def test_discussion_window_widens_context(corpus):
 # ---- analysis ----
 
 
-def test_analyze_without_annotations_marks_sections(corpus):
-    report = analyze(corpus)
-    assert report.sections["speech_act_by_role"] == {
-        "insufficient_data": "no speech_act annotations supplied"
-    }
-    assert "insufficient_data" in report.sections["deception_proportions"]
-    assert "insufficient_data" not in report.sections["win_rates"]
-
-
-ZERO_MEETING_PLAN = {
-    "base_seed": 7,
-    "agents": {"type": "scripted", "crew": "stand_still", "impostor": "hunter"},
-    "configs": [{"num_crew": 3, "num_impostors": 1, "repetitions": 6, "max_rounds": 30}],
-}
-
-
-def test_analyze_zero_meeting_corpus(tmp_path):
-    corpus = run_experiment(ExperimentPlan.from_dict(ZERO_MEETING_PLAN), tmp_path / "corpus")
-    report = analyze(corpus)
-    meeting = report.sections["meeting_ecdf"]["3v1"]
-    assert meeting["discussions"]["n"] == 0
-    assert meeting["discussions"]["note"] == "no meetings"
-    regression = report.sections["win_regression"]
-    if "insufficient_data" not in regression:
-        assert "num_discussions" in regression["dropped_constant"]
-        assert any("constant predictors" in note for note in report.notes)
-
-
 def _skipped_sections(report) -> dict[str, str]:
-    return {name: data["insufficient_data"] for name, data in report.sections.items() if "insufficient_data" in data}
+    sections = report.sections
+    return {name: data["insufficient_data"] for name, data in sections.items() if "insufficient_data" in data}
 
 
-def test_analyze_insufficient_reasons_and_files_on_zero_meeting_corpus(tmp_path):
-    """Sparse corpora reach the skip branches that the golden corpus never does."""
-    corpus = run_experiment(ExperimentPlan.from_dict(ZERO_MEETING_PLAN), tmp_path / "corpus")
-    ann = annotate_corpus(corpus, RuleBackend(), runs=1, out_dir=tmp_path / "ann")
-    report = analyze(corpus, ann, out_dir=tmp_path / "report")
-    assert _skipped_sections(report) == {
-        "win_regression": "need at least 8 completed games, have 6",
-        "role_act_chi2": "fewer than two speech-act categories observed",
-        "speech_act_role_odds": "no classified utterances for one of ('impostor', 'crewmate')",
-        "speech_act_outcome_odds": "no classified utterances in completed games",
-        "pre_ejection": "no classified utterances in ejection meetings",
-        "deception_outcome_chi2": "no labeled utterances in completed games",
-        "speech_deception_spearman": "need at least 3 games with both annotation tasks",
-        "deception_win_regression": "need at least 8 completed games, have 6",
-    }
-    assert sorted(p.name for p in (tmp_path / "report").iterdir()) == [
-        "cross_role_dynamics.csv",
-        "deception_proportions.csv",
-        "deception_proportions.svg",
-        "deception_vs_ejections.csv",
-        "meeting_ecdf.csv",
-        "meeting_ecdf.svg",
-        "report.json",
-        "speech_act_by_role.csv",
-        "win_rates.csv",
-        "win_round_ecdf.csv",
-        "win_round_ecdf.svg",
-    ]
+def _files(directory: Path) -> list[str]:
+    return sorted(p.name for p in directory.iterdir())
 
 
-def test_analyze_insufficient_reasons_and_files_without_annotations(corpus, tmp_path):
+# The golden corpus fills every section; these sparse corpora pin the skip
+# branches: each insufficient_data reason and the files written without them.
+
+
+def test_analyze_without_annotations_marks_sections(corpus, tmp_path):
     report = analyze(corpus, out_dir=tmp_path / "report")
     no_speech, no_deception = "no speech_act annotations supplied", "no deception annotations supplied"
     assert _skipped_sections(report) == {
@@ -394,7 +359,7 @@ def test_analyze_insufficient_reasons_and_files_without_annotations(corpus, tmp_
         "deception_win_regression": no_deception,
         "cross_role_dynamics": no_speech,
     }
-    assert sorted(p.name for p in (tmp_path / "report").iterdir()) == [
+    assert _files(tmp_path / "report") == [
         "meeting_ecdf.csv",
         "meeting_ecdf.svg",
         "report.json",
@@ -404,6 +369,65 @@ def test_analyze_insufficient_reasons_and_files_without_annotations(corpus, tmp_
         "win_round_ecdf.csv",
         "win_round_ecdf.svg",
     ]
+
+
+def test_analyze_zero_meeting_corpus(tmp_path):
+    plan = ExperimentPlan.from_dict(
+        {
+            "base_seed": 7,
+            "agents": {"type": "scripted", "crew": "stand_still", "impostor": "hunter"},
+            "configs": [{"num_crew": 3, "num_impostors": 1, "repetitions": 6, "max_rounds": 30}],
+        }
+    )
+    corpus = run_experiment(plan, tmp_path / "corpus")
+    ann = annotate_corpus(corpus, RuleBackend(), runs=1, out_dir=tmp_path / "ann")
+    report = analyze(corpus, ann, out_dir=tmp_path / "report")
+    meeting = report.sections["meeting_ecdf"]["3v1"]
+    assert meeting["discussions"]["n"] == 0
+    assert meeting["discussions"]["note"] == "no meetings"
+    assert _skipped_sections(report) == {
+        "win_regression": "need at least 8 completed games, have 6",
+        "role_act_chi2": "fewer than two speech-act categories observed",
+        "speech_act_role_odds": "no classified utterances for one of ('impostor', 'crewmate')",
+        "speech_act_outcome_odds": "no classified utterances in completed games",
+        "pre_ejection": "no classified utterances in ejection meetings",
+        "deception_outcome_chi2": "no labeled utterances in completed games",
+        "speech_deception_spearman": "need at least 3 games with both annotation tasks",
+        "deception_win_regression": "need at least 8 completed games, have 6",
+    }
+    assert _files(tmp_path / "report") == [
+        "cross_role_dynamics.csv",
+        "deception_proportions.csv",
+        "deception_proportions.svg",
+        "deception_vs_ejections.csv",
+        "meeting_ecdf.csv",
+        "meeting_ecdf.svg",
+        "report.json",
+        "speech_act_by_role.csv",
+        "win_rates.csv",
+        "win_round_ecdf.csv",
+        "win_round_ecdf.svg",
+    ]
+
+
+def test_role_act_chi2_reports_a_role_without_classified_utterances(corpus, tmp_path):
+    """An empty role row is insufficient data, not a ValueError out of chi_squared."""
+    ann = annotate_corpus(corpus, RuleBackend(), runs=1, out_dir=tmp_path / "ann")
+    impostor_keys = {
+        utt.key
+        for record in iter_corpus(corpus)
+        for utt in record.utterances()
+        if utt.speaker_role.value == "impostor"
+    }
+    path = ann / "speech_act.run0.jsonl"
+    meta, *rows = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    rows = [{**row, "label": UNCLASSIFIABLE} if row["key"] in impostor_keys else row for row in rows]
+    path.write_text("".join(json.dumps(row) + "\n" for row in [meta, *rows]), "utf-8")
+    sections = analyze(corpus, ann).sections
+    assert sections["role_act_chi2"] == {
+        "insufficient_data": "no classified utterances for one of ('crewmate', 'impostor')"
+    }
+    assert "acts" in sections["speech_act_by_role"]["crewmate"]
 
 
 def test_analyze_report_is_deterministic(corpus, tmp_path):
