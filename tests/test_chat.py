@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -216,3 +219,109 @@ def test_mock_server_stops_promptly_after_a_request():
         server.stop()
         elapsed = time.perf_counter() - start
     assert elapsed < 0.25
+
+
+class KeepAliveServer(ThreadingHTTPServer):
+    """HTTP/1.1 endpoint that records the client address of every request.
+
+    With ``close_after_reply`` it closes each connection after one reply
+    without announcing it (no ``Connection: close``), as a server does when
+    it drops an idle keep-alive connection; ``closed`` is released once the
+    socket is shut, so a test can wait for that before the next call.
+    """
+
+    def __init__(self, close_after_reply: bool = False):
+        self.clients: list[tuple] = []
+        self.close_after_reply = close_after_reply
+        self.closed = threading.Semaphore(0)
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self) -> None:  # noqa: N802 - http.server API
+                self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                self.server.clients.append(self.client_address)
+                data = json.dumps(completion_body("ok")).encode("utf-8")
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+                self.close_connection = self.server.close_after_reply
+
+            def log_message(self, fmt, *args) -> None:
+                pass
+
+        super().__init__(("127.0.0.1", 0), Handler)
+        self._thread = threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        self.closed.release()
+
+    @property
+    def url(self) -> str:
+        host, port = self.server_address
+        return f"http://{host}:{port}/v1/chat/completions"
+
+    def __enter__(self) -> KeepAliveServer:
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.shutdown()
+        self.server_close()
+        self._thread.join(timeout=5)
+
+
+def test_sequential_calls_reuse_one_keep_alive_connection():
+    waits = []
+    with KeepAliveServer() as server:
+        client = ChatClient(endpoint(server.url), sleep=waits.append)
+        assert [client.complete("x") for _ in range(5)] == ["ok"] * 5
+    assert len(server.clients) == 5
+    assert len(set(server.clients)) == 1
+    assert waits == []
+
+
+def test_dropped_keep_alive_connection_is_reopened_without_a_retry():
+    waits = []
+    with KeepAliveServer(close_after_reply=True) as server:
+        client = ChatClient(endpoint(server.url), sleep=waits.append)
+        replies = []
+        for _ in range(5):
+            replies.append(client.complete("x"))
+            assert server.closed.acquire(timeout=5)  # the server has dropped the connection
+    assert replies == ["ok"] * 5
+    assert len(set(server.clients)) == 5
+    assert waits == []
+
+
+def _clear_proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+def test_http_proxy_from_the_environment_is_used(monkeypatch):
+    _clear_proxy_env(monkeypatch)
+    with MockChatServer(static_completion("via proxy")) as proxy:
+        monkeypatch.setenv("HTTP_PROXY", proxy.url.split("/v1/")[0])
+        client = ChatClient(endpoint("http://chat.invalid/v1/chat/completions", retries=0))
+        assert client.complete("x") == "via proxy"
+        assert proxy.requests[0]["messages"][1]["content"] == "x"
+
+
+def test_no_proxy_host_is_reached_directly(monkeypatch):
+    _clear_proxy_env(monkeypatch)
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        closed_port = sock.getsockname()[1]
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{closed_port}")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    waits = []
+    with MockChatServer(static_completion("direct")) as server:
+        client = ChatClient(endpoint(server.url, retries=0), sleep=waits.append)
+        assert client.complete("x") == "direct"
+        assert len(server.requests) == 1
+    assert waits == []
