@@ -9,16 +9,19 @@ to an empty completion, which upstream code logs as an abstention.
 
 from __future__ import annotations
 
+import base64
+import http.client
 import json
 import logging
 import os
 import random
+import ssl
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
+from typing import NamedTuple
+from urllib.parse import SplitResult, unquote, urlsplit
 
 from crewsim.agents.base import Abstention, AgentResponse
 from crewsim.agents.parsing import parse_response
@@ -47,8 +50,10 @@ class ChatEndpointConfig:
     max_concurrency: int = 8  # requests in flight: classifier requests, or chat games at once
 
     def validate(self) -> None:
-        if not self.base_url.startswith(("http://", "https://")):
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http(s) URL, got {self.base_url!r}")
+        url.port  # raises ValueError for a port that is not a number in range
         if not self.model:
             raise ValueError("model must be non-empty")
         if self.timeout <= 0:
@@ -72,13 +77,27 @@ class ChatEndpointConfig:
             return cls(**json.load(fh))
 
 
+class Reply(NamedTuple):
+    """One HTTP reply with its body read."""
+
+    status: int
+    headers: http.client.HTTPMessage
+    body: bytes
+
+
 class ChatClient:
     """Small retrying HTTP client over one endpoint config.
 
     ``complete`` may be called from several threads at once: each thread
-    gets its own ``requests.Session``, since requests does not promise that
-    a session is thread-safe. ``sleep`` waits between retries; tests pass a
-    recorder instead of ``time.sleep``.
+    keeps one keep-alive ``http.client`` connection to the endpoint (or to
+    its proxy), opened on its first request and reopened after the server
+    drops it. The proxy comes from ``HTTP_PROXY``/``HTTPS_PROXY`` unless
+    ``NO_PROXY`` exempts the endpoint's host, read once per client; only
+    ``http://`` proxies are supported, and HTTPS goes through them with
+    ``CONNECT``. HTTPS certificates are checked against the system CA
+    store (``ssl.create_default_context``). Redirects are not followed.
+    ``sleep`` waits between retries; tests pass a recorder instead of
+    ``time.sleep``.
     """
 
     sleep = staticmethod(time.sleep)
@@ -91,12 +110,64 @@ class ChatClient:
         if sleep is not None:
             self.sleep = sleep
 
+        url = urlsplit(config.base_url)
+        self._https = url.scheme == "https"
+        self._address = (url.hostname, url.port or (443 if self._https else 80))
+        self._context = ssl.create_default_context() if self._https else None
+        self._proxy = _proxy_for(url)
+        self._proxy_auth = _proxy_auth(self._proxy) if self._proxy else {}
+        path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            self._headers["Authorization"] = f"Bearer {self.api_key}"
+        if self._proxy and not self._https:
+            # plain HTTP through a proxy names the whole URL in the request
+            self._target = f"http://{url.netloc.rpartition('@')[2]}{path}"
+            self._headers.update(self._proxy_auth)
+        else:
+            self._target = path
+
     @property
-    def session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
-        return session
+    def connection(self) -> http.client.HTTPConnection:
+        """This thread's connection; it opens its socket on first use."""
+        conn = getattr(self._local, "connection", None)
+        if conn is None:
+            conn = self._local.connection = self._connect()
+        return conn
+
+    def _connect(self) -> http.client.HTTPConnection:
+        host, port = (self._proxy.hostname, self._proxy.port or 80) if self._proxy else self._address
+        if not self._https:
+            return http.client.HTTPConnection(host, port, timeout=self.config.timeout)
+        conn = http.client.HTTPSConnection(host, port, timeout=self.config.timeout, context=self._context)
+        if self._proxy:
+            conn.set_tunnel(*self._address, headers=self._proxy_auth)
+        return conn
+
+    def _send(self, body: bytes) -> Reply:
+        """One HTTP attempt: POST ``body`` and read the whole reply.
+
+        A reused connection that the server has closed since its last reply
+        is reopened and the request sent once more, as
+        ``xmlrpc.client.Transport`` does; that resend is not a retry. On any
+        error the connection is closed, so the next attempt opens a new one.
+        """
+        conn = self.connection
+        reused = conn.sock is not None
+        try:
+            try:
+                conn.request("POST", self._target, body, self._headers)
+                response = conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                conn.close()
+                conn.request("POST", self._target, body, self._headers)
+                response = conn.getresponse()
+            return Reply(response.status, response.headers, response.read())
+        except BaseException:
+            conn.close()
+            raise
 
     def complete(self, user: str, system: str | None = SYSTEM_PROMPT) -> str:
         """One completion; returns "" after retries are exhausted.
@@ -114,9 +185,7 @@ class ChatClient:
             "messages": messages,
             "temperature": self.config.temperature,
         }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        body = json.dumps(payload).encode("utf-8")
 
         attempts = self.config.max_retries + 1
         retry_after = None
@@ -125,30 +194,45 @@ class ChatClient:
                 self.sleep(_backoff(attempt - 1) if retry_after is None else retry_after)
                 retry_after = None
             try:
-                reply = self.session.post(
-                    self.config.base_url,
-                    json=payload,
-                    headers=headers,
-                    timeout=self.config.timeout,
-                )
-            except requests.RequestException as exc:
+                reply = self._send(body)
+            except (OSError, http.client.HTTPException) as exc:
                 logger.warning("chat request failed (attempt %d/%d): %s", attempt + 1, attempts, exc)
                 continue
-            if reply.status_code == 429 or reply.status_code >= 500:
-                logger.warning(
-                    "chat endpoint returned %d (attempt %d/%d)", reply.status_code, attempt + 1, attempts
-                )
+            if reply.status == 429 or reply.status >= 500:
+                logger.warning("chat endpoint returned %d (attempt %d/%d)", reply.status, attempt + 1, attempts)
                 retry_after = _retry_after(reply.headers.get("Retry-After"))
                 continue
-            if reply.status_code != 200:
-                logger.warning("chat endpoint returned %d; not retrying", reply.status_code)
+            if reply.status != 200:
+                logger.warning("chat endpoint returned %d; not retrying", reply.status)
                 return ""
             try:
-                return reply.json()["choices"][0]["message"]["content"] or ""
+                return json.loads(reply.body)["choices"][0]["message"]["content"] or ""
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 logger.warning("malformed chat reply (attempt %d/%d): %s", attempt + 1, attempts, exc)
                 continue
         return ""
+
+
+def _proxy_for(url: SplitResult) -> SplitResult | None:
+    """The proxy for ``url`` from the environment; None for none."""
+    import urllib.request  # about 25 ms to import, so only clients pay it
+
+    proxy = urllib.request.getproxies().get(url.scheme)
+    if not proxy or urllib.request.proxy_bypass(url.hostname):
+        return None
+    parsed = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    if parsed.scheme != "http" or not parsed.hostname:
+        raise ValueError(f"only http:// proxies are supported, got {proxy!r}")
+    parsed.port  # raises ValueError for a port that is not a number in range
+    return parsed
+
+
+def _proxy_auth(proxy: SplitResult) -> dict:
+    """A Basic ``Proxy-Authorization`` header from the proxy URL's user info."""
+    if proxy.username is None:
+        return {}
+    credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}".encode("utf-8")
+    return {"Proxy-Authorization": "Basic " + base64.b64encode(credentials).decode("ascii")}
 
 
 def _backoff(retry: int) -> float:

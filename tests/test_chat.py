@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import base64
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +31,8 @@ from crewsim.agents.mock_server import (
 )
 from crewsim.core.types import GameConfig, Role
 from crewsim.engine.engine import build_observation, new_game
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def endpoint(url, retries=2):
@@ -199,15 +206,15 @@ def test_max_concurrency_is_validated():
         ChatClient(ChatEndpointConfig(base_url="http://x", model="m", max_concurrency=0))
 
 
-def test_each_thread_gets_its_own_session():
+def test_each_thread_gets_its_own_connection():
     client = ChatClient(ChatEndpointConfig(base_url="http://x", model="m"))
-    sessions = []
-    thread = threading.Thread(target=lambda: sessions.append(client.session))
+    connections = []
+    thread = threading.Thread(target=lambda: connections.append(client.connection))
     thread.start()
     thread.join(timeout=5)
     assert not thread.is_alive()
-    assert client.session is client.session
-    assert sessions[0] is not client.session
+    assert client.connection is client.connection
+    assert connections[0] is not client.connection
 
 
 def test_mock_server_stops_promptly_after_a_request():
@@ -232,6 +239,7 @@ class KeepAliveServer(ThreadingHTTPServer):
 
     def __init__(self, close_after_reply: bool = False):
         self.clients: list[tuple] = []
+        self.received: list[tuple[str, str, dict]] = []  # (method, target, headers)
         self.close_after_reply = close_after_reply
         self.closed = threading.Semaphore(0)
 
@@ -241,6 +249,7 @@ class KeepAliveServer(ThreadingHTTPServer):
             def do_POST(self) -> None:  # noqa: N802 - http.server API
                 self.rfile.read(int(self.headers.get("Content-Length", 0)))
                 self.server.clients.append(self.client_address)
+                self.server.received.append((self.command, self.path, dict(self.headers)))
                 data = json.dumps(completion_body("ok")).encode("utf-8")
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
@@ -248,6 +257,13 @@ class KeepAliveServer(ThreadingHTTPServer):
                 self.end_headers()
                 self.wfile.write(data)
                 self.close_connection = self.server.close_after_reply
+
+            def do_CONNECT(self) -> None:  # noqa: N802 - http.server API
+                self.server.received.append((self.command, self.path, dict(self.headers)))
+                self.send_response(502)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+                self.close_connection = True
 
             def log_message(self, fmt, *args) -> None:
                 pass
@@ -312,6 +328,31 @@ def test_http_proxy_from_the_environment_is_used(monkeypatch):
         assert proxy.requests[0]["messages"][1]["content"] == "x"
 
 
+def test_proxy_credentials_and_https_tunnel(monkeypatch):
+    _clear_proxy_env(monkeypatch)
+    with KeepAliveServer() as proxy:
+        host, port = proxy.server_address
+        for name in ("HTTP_PROXY", "HTTPS_PROXY"):
+            monkeypatch.setenv(name, f"http://user:p%40ss@{host}:{port}")
+        plain = ChatClient(endpoint("http://chat.invalid:8000/v1/chat/completions", retries=0))
+        assert plain.complete("x") == "ok"
+        tunneled = ChatClient(endpoint("https://chat.invalid/v1/chat/completions", retries=0))
+        assert tunneled.complete("x") == ""  # this proxy refuses CONNECT
+    auth = "Basic " + base64.b64encode(b"user:p@ss").decode("ascii")
+    (post, post_target, post_headers), (connect, connect_target, connect_headers) = proxy.received
+    assert (post, post_target) == ("POST", "http://chat.invalid:8000/v1/chat/completions")
+    assert post_headers["Proxy-Authorization"] == auth
+    assert (connect, connect_target) == ("CONNECT", "chat.invalid:443")
+    assert connect_headers["Proxy-Authorization"] == auth
+
+
+def test_unsupported_proxy_scheme_fails_at_construction(monkeypatch):
+    _clear_proxy_env(monkeypatch)
+    monkeypatch.setenv("HTTP_PROXY", "socks5://127.0.0.1:1080")
+    with pytest.raises(ValueError):
+        ChatClient(endpoint("http://chat.invalid/v1/chat/completions"))
+
+
 def test_no_proxy_host_is_reached_directly(monkeypatch):
     _clear_proxy_env(monkeypatch)
     with socket.socket() as sock:
@@ -325,3 +366,13 @@ def test_no_proxy_host_is_reached_directly(monkeypatch):
         assert client.complete("x") == "direct"
         assert len(server.requests) == 1
     assert waits == []
+
+
+def test_pipeline_imports_load_neither_requests_nor_urllib_request():
+    code = (
+        "import sys, crewsim.harness.cli, crewsim.harness.analysis, crewsim.harness.runner, crewsim.harness.annotator; "
+        "print(sorted({'requests', 'urllib.request'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
