@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 import socket
 import subprocess
 import sys
@@ -31,8 +30,6 @@ from crewsim.agents.mock_server import (
 )
 from crewsim.core.types import GameConfig, Role
 from crewsim.engine.engine import build_observation, new_game
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def endpoint(url, retries=2):
@@ -369,10 +366,11 @@ def test_no_proxy_host_is_reached_directly(monkeypatch):
 
 
 def test_pipeline_imports_load_neither_requests_nor_urllib_request():
+    src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        "import sys, crewsim.harness.cli, crewsim.harness.analysis, crewsim.harness.runner, crewsim.harness.annotator; "
+        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        "import crewsim.harness.cli, crewsim.harness.analysis, crewsim.harness.runner, crewsim.harness.annotator; "
         "print(sorted({'requests', 'urllib.request'} & set(sys.modules)))"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
