@@ -10,6 +10,7 @@ to an empty completion, which upstream code logs as an abstention.
 from __future__ import annotations
 
 import base64
+import contextlib
 import http.client
 import json
 import logging
@@ -96,8 +97,9 @@ class ChatClient:
     ``http://`` proxies are supported, and HTTPS goes through them with
     ``CONNECT``. HTTPS certificates are checked against the system CA
     store (``ssl.create_default_context``). Redirects are not followed.
-    ``sleep`` waits between retries; tests pass a recorder instead of
-    ``time.sleep``.
+    ``close`` closes every thread's connection; a thread that calls
+    ``complete`` after it opens a new one. ``sleep`` waits between retries;
+    tests pass a recorder instead of ``time.sleep``.
     """
 
     sleep = staticmethod(time.sleep)
@@ -107,6 +109,8 @@ class ChatClient:
         self.config = config
         self.api_key = config.resolve_api_key()
         self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: list[http.client.HTTPConnection] = []  # every thread's, for close()
         if sleep is not None:
             self.sleep = sleep
 
@@ -133,7 +137,16 @@ class ChatClient:
         conn = getattr(self._local, "connection", None)
         if conn is None:
             conn = self._local.connection = self._connect()
+            with self._lock:
+                self._connections.append(conn)
         return conn
+
+    def close(self) -> None:
+        """Close the connection of every thread that used this client. Each
+        stays that thread's connection and reopens on its next request."""
+        with self._lock:
+            for conn in self._connections:
+                conn.close()
 
     def _connect(self) -> http.client.HTTPConnection:
         host, port = (self._proxy.hostname, self._proxy.port or 80) if self._proxy else self._address
@@ -250,7 +263,8 @@ def _retry_after(value: str | None) -> float | None:
 
 def chat_complete(config: ChatEndpointConfig, prompt: str, system: str | None = SYSTEM_PROMPT) -> str:
     """One-shot convenience wrapper around ``ChatClient.complete``."""
-    return ChatClient(config).complete(prompt, system)
+    with contextlib.closing(ChatClient(config)) as client:
+        return client.complete(prompt, system)
 
 
 class ChatAgent:

@@ -69,6 +69,10 @@ class RuleBackend:
     2. bare task talk omitting events     -> Concealment
     3. hedges and vagueness               -> Equivocation
     4. default                            -> Equivocation (the dominant class)
+
+    A reply depends on the utterance text alone, so each backend answers
+    each distinct text once per task and replays that reply for repeats;
+    the labels are the same as classifying every call afresh.
     """
 
     name = "rules"
@@ -109,7 +113,23 @@ class RuleBackend:
         "around",
     )
 
+    def __init__(self):
+        self._speech_acts: dict[str, str] = {}  # reply memo, keyed by text
+        self._deception: dict[str, str] = {}
+
     def speech_act_reply(self, key: str, text: str) -> str:
+        reply = self._speech_acts.get(text)
+        if reply is None:
+            reply = self._speech_acts[text] = self._speech_act(text)
+        return reply
+
+    def deception_reply(self, key: str, text: str, discussion: str) -> str:
+        reply = self._deception.get(text)
+        if reply is None:
+            reply = self._deception[text] = self._deception_form(text)
+        return reply
+
+    def _speech_act(self, text: str) -> str:
         if _any_word(text, self._EXPRESSIVE):
             return "Expressives"
         if _any_word(text, self._COMMISSIVE):
@@ -121,7 +141,7 @@ class RuleBackend:
             return "Representatives"
         return "Directives"
 
-    def deception_reply(self, key: str, text: str, discussion: str) -> str:
+    def _deception_form(self, text: str) -> str:
         if not text.strip():
             return ""
         if _any_word(text, self._FALSIFICATION):

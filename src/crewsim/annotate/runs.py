@@ -26,11 +26,18 @@ class AnnotationRun:
         return {"task": self.task, "run_id": self.run_id, "backend": self.backend}
 
 
+def label_line(key: str, label: str) -> str:
+    """One label line of a run file: the bytes of
+    ``json.dumps({"key": key, "label": label}) + "\\n"``, without building a
+    dict encoder per line."""
+    return '{"key": %s, "label": %s}\n' % (json.dumps(key), json.dumps(label))
+
+
 def save_run(run: AnnotationRun, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(run.meta(), sort_keys=True) + "\n")
-        for key in run.labels:
-            fh.write(json.dumps({"key": key, "label": run.labels[key]}) + "\n")
+        for key, label in run.labels.items():
+            fh.write(label_line(key, label))
 
 
 def load_run(path: str | Path) -> AnnotationRun:

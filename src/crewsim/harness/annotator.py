@@ -24,7 +24,7 @@ from pathlib import Path
 from crewsim.annotate.classify import classify_deception, classify_speech_act
 from crewsim.annotate.labels import UNCLASSIFIABLE
 from crewsim.annotate.reliability import stability
-from crewsim.annotate.runs import AnnotationRun, load_run
+from crewsim.annotate.runs import AnnotationRun, label_line, load_run
 from crewsim.core.types import UtteranceRecord, player_name
 from crewsim.harness.corpus import iter_corpus
 
@@ -102,7 +102,7 @@ def _annotate_run(
         values = pool.map(label, pending) if pool is not None else map(label, pending)
         for item, value in zip(pending, values):
             done[item.key] = value
-            fh.write(json.dumps({"key": item.key, "label": value}) + "\n")
+            fh.write(label_line(item.key, value))
             fh.flush()
         if pending:
             echo(f"{task} run {run_id}: labeled {len(pending)} utterances")

@@ -9,7 +9,8 @@ from typing import Iterator
 from crewsim.core.types import GameRecord
 
 
-def _iter_lines(corpus_dir: Path) -> Iterator[dict]:
+def _iter_texts(corpus_dir: Path) -> Iterator[str]:
+    """The JSON text of each stored record, in (config, repetition) order."""
     consolidated = sorted(corpus_dir.glob("config_*.jsonl"))
     if consolidated:
         for path in consolidated:
@@ -17,12 +18,12 @@ def _iter_lines(corpus_dir: Path) -> Iterator[dict]:
                 for line in fh:
                     line = line.strip()
                     if line:
-                        yield json.loads(line)
+                        yield line
         return
     for path in sorted(corpus_dir.glob("config_*/game_*.json")):
         text = path.read_text("utf-8").strip()
         if text:
-            yield json.loads(text)
+            yield text
 
 
 def iter_corpus(corpus_dir: str | Path) -> Iterator[GameRecord]:
@@ -31,10 +32,14 @@ def iter_corpus(corpus_dir: str | Path) -> Iterator[GameRecord]:
     Failed-game placeholder lines are skipped; count them separately with
     ``count_failures`` when reconciling totals.
     """
-    for data in _iter_lines(Path(corpus_dir)):
+    for text in _iter_texts(Path(corpus_dir)):
+        data = json.loads(text)
         if not data.get("failed"):
             yield GameRecord.from_dict(data)
 
 
 def count_failures(corpus_dir: str | Path) -> int:
-    return sum(1 for data in _iter_lines(Path(corpus_dir)) if data.get("failed"))
+    """Failed-game placeholders in the corpus. Only records whose text holds
+    ``"failed"`` are decoded, and each is checked for the top-level flag."""
+    texts = _iter_texts(Path(corpus_dir))
+    return sum(1 for text in texts if '"failed"' in text and json.loads(text).get("failed"))

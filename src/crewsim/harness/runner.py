@@ -21,7 +21,7 @@ import logging
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
-from crewsim.agents.chat import ChatEndpointConfig, make_chat_roster
+from crewsim.agents.chat import ChatAgent, ChatEndpointConfig, make_chat_roster
 from crewsim.agents.scripted import make_scripted_roster
 from crewsim.core.serialize import encode_record
 from crewsim.core.types import GameConfig
@@ -60,6 +60,7 @@ def _run_one(config_data: dict, agents_spec: dict, game_id: str, path_str: str) 
     """Run a single game and write its file. Returns (path, error or None)."""
     path = Path(path_str)
     config = GameConfig.from_dict(config_data)
+    roster = []
     try:
         roster = build_roster(config, agents_spec)
         record = run_game(config, roster, game_id=game_id)
@@ -68,6 +69,9 @@ def _run_one(config_data: dict, agents_spec: dict, game_id: str, path_str: str) 
     except Exception as exc:  # noqa: BLE001 - a bad game must not sink the batch
         line = json.dumps({"failed": True, "game_id": game_id, "error": str(exc)})
         error = str(exc)
+    finally:
+        for client in {agent.client for agent in roster if isinstance(agent, ChatAgent)}:
+            client.close()  # the game's chat client, shared by its agents
     tmp = path.with_suffix(".tmp")
     tmp.write_text(line + "\n", encoding="utf-8")
     tmp.replace(path)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import random
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from crewsim.annotate.backends import ReplayBackend, RuleBackend, _any_word
 from crewsim.annotate.classify import (
@@ -24,7 +28,7 @@ from crewsim.annotate.labels import (
     normalize_speech_act,
 )
 from crewsim.annotate.reliability import agreement, cohen_kappa, stability
-from crewsim.annotate.runs import AnnotationRun, load_run, save_run
+from crewsim.annotate.runs import AnnotationRun, label_line, load_run, save_run
 from crewsim.harness.corpus import iter_corpus
 
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden" / "corpus"
@@ -200,6 +204,44 @@ def test_rule_backend_is_deterministic():
     assert classify_speech_act(text, rules) is SpeechActLabel.DIRECTIVES
 
 
+def _counting(calls: list, fn):
+    def wrapper(text):
+        calls.append(text)
+        return fn(text)
+
+    return wrapper
+
+
+def test_rule_backend_memo_replies_as_a_fresh_backend_per_call():
+    texts = [u.text for record in iter_corpus(GOLDEN_CORPUS) for u in record.utterances() if not u.abstained]
+    texts += ["", "   ", "Hmm."]
+    fresh = {
+        text: (RuleBackend().speech_act_reply("", text), RuleBackend().deception_reply("", text, "")) for text in texts
+    }
+    for seed in range(3):
+        rules = RuleBackend()
+        computed: list[str] = []
+        rules._speech_act = _counting(computed, rules._speech_act)
+        rules._deception_form = _counting(computed, rules._deception_form)
+        calls = [(text, task) for text in texts for task in (0, 1)] * 2
+        random.Random(seed).shuffle(calls)
+        for text, task in calls:
+            reply = rules.deception_reply(text, text, "") if task else rules.speech_act_reply(text, text)
+            assert reply == fresh[text][task], (text, task)
+        assert sorted(computed) == sorted([*set(texts)] * 2)  # each distinct text once per task
+
+
+def test_rule_backend_memo_is_keyed_by_text_alone():
+    rules = RuleBackend()
+    computed: list[str] = []
+    rules._deception_form = _counting(computed, rules._deception_form)
+    text = "I was in Medbay the whole time"
+    first = rules.deception_reply("g1-u1", text, "Red: I was in Medbay the whole time")
+    second = rules.deception_reply("g2-u7", text, "Blue: where were you?\nRed: I was in Medbay the whole time")
+    assert first == second == "Falsification"
+    assert computed == [text]
+
+
 # ---- replay backend ----
 
 
@@ -310,6 +352,15 @@ def test_run_save_load_round_trip(tmp_path):
     save_run(run, path)
     loaded = load_run(path)
     assert loaded == run
+
+
+@given(st.text(), st.text())
+@example('c00-3v1-r0000/"quoted"', "back\\slash")
+@example("caf\u00e9-\u4f1a\u8bae-\U0001f600", "Repr\u00e9sentatives")
+@example("tab\there\nnewline\x00nul\x1f", "\u2028\u2029\x7f")
+@example("\ud800 lone surrogate", "")
+def test_label_line_is_the_json_dumps_of_its_dict(key, label):
+    assert label_line(key, label) == json.dumps({"key": key, "label": label}) + "\n"
 
 
 def test_load_run_drops_torn_final_line(tmp_path):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -290,8 +291,8 @@ class KeepAliveServer(ThreadingHTTPServer):
 def test_sequential_calls_reuse_one_keep_alive_connection():
     waits = []
     with KeepAliveServer() as server:
-        client = ChatClient(endpoint(server.url), sleep=waits.append)
-        assert [client.complete("x") for _ in range(5)] == ["ok"] * 5
+        with closing(ChatClient(endpoint(server.url), sleep=waits.append)) as client:
+            assert [client.complete("x") for _ in range(5)] == ["ok"] * 5
     assert len(server.clients) == 5
     assert len(set(server.clients)) == 1
     assert waits == []
@@ -300,14 +301,34 @@ def test_sequential_calls_reuse_one_keep_alive_connection():
 def test_dropped_keep_alive_connection_is_reopened_without_a_retry():
     waits = []
     with KeepAliveServer(close_after_reply=True) as server:
-        client = ChatClient(endpoint(server.url), sleep=waits.append)
         replies = []
-        for _ in range(5):
-            replies.append(client.complete("x"))
-            assert server.closed.acquire(timeout=5)  # the server has dropped the connection
+        with closing(ChatClient(endpoint(server.url), sleep=waits.append)) as client:
+            for _ in range(5):
+                replies.append(client.complete("x"))
+                assert server.closed.acquire(timeout=5)  # the server has dropped the connection
     assert replies == ["ok"] * 5
     assert len(set(server.clients)) == 5
     assert waits == []
+
+
+def test_close_shuts_every_thread_connection_and_reuse_reconnects():
+    with KeepAliveServer() as server:
+        client = ChatClient(endpoint(server.url))
+        worker = threading.Thread(target=client.complete, args=("x",))
+        worker.start()
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert client.complete("x") == "ok"
+        assert len(set(server.clients)) == 2
+        closer = threading.Thread(target=client.close)  # from a third thread
+        closer.start()
+        closer.join(timeout=5)
+        assert not closer.is_alive()
+        assert server.closed.acquire(timeout=5) and server.closed.acquire(timeout=5)
+        assert client.connection.sock is None
+        assert client.complete("x") == "ok"  # this thread reconnects
+        client.close()
+    assert len(set(server.clients)) == 3
 
 
 def _clear_proxy_env(monkeypatch):
@@ -320,8 +341,8 @@ def test_http_proxy_from_the_environment_is_used(monkeypatch):
     _clear_proxy_env(monkeypatch)
     with MockChatServer(static_completion("via proxy")) as proxy:
         monkeypatch.setenv("HTTP_PROXY", proxy.url.split("/v1/")[0])
-        client = ChatClient(endpoint("http://chat.invalid/v1/chat/completions", retries=0))
-        assert client.complete("x") == "via proxy"
+        with closing(ChatClient(endpoint("http://chat.invalid/v1/chat/completions", retries=0))) as client:
+            assert client.complete("x") == "via proxy"
         assert proxy.requests[0]["messages"][1]["content"] == "x"
 
 
@@ -331,10 +352,10 @@ def test_proxy_credentials_and_https_tunnel(monkeypatch):
         host, port = proxy.server_address
         for name in ("HTTP_PROXY", "HTTPS_PROXY"):
             monkeypatch.setenv(name, f"http://user:p%40ss@{host}:{port}")
-        plain = ChatClient(endpoint("http://chat.invalid:8000/v1/chat/completions", retries=0))
-        assert plain.complete("x") == "ok"
-        tunneled = ChatClient(endpoint("https://chat.invalid/v1/chat/completions", retries=0))
-        assert tunneled.complete("x") == ""  # this proxy refuses CONNECT
+        with closing(ChatClient(endpoint("http://chat.invalid:8000/v1/chat/completions", retries=0))) as plain:
+            assert plain.complete("x") == "ok"
+        with closing(ChatClient(endpoint("https://chat.invalid/v1/chat/completions", retries=0))) as tunneled:
+            assert tunneled.complete("x") == ""  # this proxy refuses CONNECT
     auth = "Basic " + base64.b64encode(b"user:p@ss").decode("ascii")
     (post, post_target, post_headers), (connect, connect_target, connect_headers) = proxy.received
     assert (post, post_target) == ("POST", "http://chat.invalid:8000/v1/chat/completions")

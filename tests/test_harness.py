@@ -5,12 +5,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
-from crewsim.agents.chat import ChatEndpointConfig
+from crewsim.agents.chat import ChatClient, ChatEndpointConfig
 from crewsim.agents.mock_server import MockChatServer, completion_body
 from crewsim.annotate.backends import ChatBackend, ReplayBackend, RuleBackend
 from crewsim.annotate.labels import UNCLASSIFIABLE
@@ -19,7 +20,7 @@ from crewsim.engine.replay import verify_record
 from crewsim.harness.analysis import analyze
 from crewsim.harness.annotator import annotate_corpus, collect_items
 from crewsim.harness.cli import main as cli_main
-from crewsim.harness.corpus import iter_corpus
+from crewsim.harness.corpus import count_failures, iter_corpus
 from crewsim.harness.plan import ExperimentPlan, default_plan
 from crewsim.harness.runner import _run_one, run_experiment
 from mockmodels import ContentKeyedModel, game_reply
@@ -371,6 +372,21 @@ def test_analyze_without_annotations_marks_sections(corpus, tmp_path):
     ]
 
 
+def test_failed_placeholders_are_counted_exactly(tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(GOLDEN / "corpus", corpus)
+    path = corpus / "config_00_3v1.jsonl"
+    records = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    spoken = next(e for e in records[0]["events"] if e["kind"] == "utterance")
+    spoken["data"]["text"] = "failed"  # holds '"failed"' but is no placeholder
+    lines = [json.dumps(record) for record in records]
+    lines[1:3] = [json.dumps({"failed": True, "game_id": f"g{i}", "error": "boom"}) for i in (1, 2)]
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+    assert count_failures(corpus) == 2
+    ann = annotate_corpus(corpus, RuleBackend(), runs=1, out_dir=tmp_path / "ann")
+    assert analyze(corpus, ann).sections["counts"]["failed_records"] == 2
+
+
 def test_analyze_zero_meeting_corpus(tmp_path):
     plan = ExperimentPlan.from_dict(
         {
@@ -469,18 +485,36 @@ def test_analyze_counts_reconcile(corpus, tmp_path):
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
-def test_golden_pipeline_snapshot(tmp_path):
-    """The bundled corpus/annotations/report regenerate byte-identically."""
+# Each stage of the golden plan is built once per module, from the stage
+# before it, so a part's check does not hinge on a later stage.
+
+
+@pytest.fixture(scope="module")
+def golden_corpus(tmp_path_factory) -> Path:
     plan = ExperimentPlan.from_file(Path(__file__).parent / "data" / "golden_plan.json")
-    corpus = run_experiment(plan, tmp_path / "corpus")
-    ann = annotate_corpus(corpus, RuleBackend(), runs=3, out_dir=tmp_path / "annotations")
-    analyze(corpus, ann, out_dir=tmp_path / "report")
-    for part in ("corpus", "annotations", "report"):
-        fresh = tree_bytes(tmp_path / part)
-        frozen = tree_bytes(GOLDEN / part)
-        assert fresh.keys() == frozen.keys(), part
-        mismatched = [name for name in frozen if fresh[name] != frozen[name]]
-        assert mismatched == [], f"{part}: {mismatched}"
+    return run_experiment(plan, tmp_path_factory.mktemp("golden") / "corpus")
+
+
+@pytest.fixture(scope="module")
+def golden_annotations(golden_corpus) -> Path:
+    return annotate_corpus(golden_corpus, RuleBackend(), runs=3, out_dir=golden_corpus.parent / "annotations")
+
+
+@pytest.fixture(scope="module")
+def golden_report(golden_corpus, golden_annotations) -> Path:
+    out = golden_corpus.parent / "report"
+    analyze(golden_corpus, golden_annotations, out_dir=out)
+    return out
+
+
+@pytest.mark.parametrize("part", ["corpus", "annotations", "report"])
+def test_golden_pipeline_snapshot(part, request):
+    """Each bundled part (corpus, annotations, report) regenerates byte-identically."""
+    fresh = tree_bytes(request.getfixturevalue(f"golden_{part}"))
+    frozen = tree_bytes(GOLDEN / part)
+    assert fresh.keys() == frozen.keys()
+    mismatched = [name for name in frozen if fresh[name] != frozen[name]]
+    assert mismatched == []
 
 
 # ---- concurrent chat games ----
@@ -553,6 +587,18 @@ def test_concurrent_chat_games_keep_the_bound(player_model, endpoint_file, seria
     corpus = simulate_chat(server, endpoint_file, 2, tmp_path / "corpus")
     assert 1 < model.peak <= 2
     assert tree_bytes(corpus) == tree_bytes(serial_chat_corpus)
+
+
+def test_a_chat_game_closes_its_client(player_model, tmp_path, monkeypatch):
+    _, server = player_model
+    closed = []
+    close = ChatClient.close
+    monkeypatch.setattr(ChatClient, "close", lambda client: (closed.append(client), close(client)))
+    spec = {"type": "chat", "endpoint": {"base_url": server.url, "model": "mock", "timeout": 5.0, "max_retries": 0}}
+    config = ExperimentPlan.from_dict({"base_seed": 31, "agents": spec, "configs": CHAT_CONFIGS}).game_config(0, 0)
+    _, error = _run_one(config.to_dict(), spec, "gid", str(tmp_path / "game_0000.json"))
+    assert error is None
+    assert len(closed) == 1  # one client, shared by the game's agents
 
 
 @pytest.mark.parametrize(
