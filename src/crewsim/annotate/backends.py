@@ -10,7 +10,8 @@ are raw words that go through label normalization upstream.
 
 A backend may set ``max_concurrency``: how many replies the annotator may
 request at once. Only the chat backend does, because it waits on the
-network; the other two are CPU-bound and run serially.
+network; the other two are CPU-bound and run serially. A backend with a
+``close()`` (the chat one) is closed when an annotation pass ends.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ class ChatBackend:
 
     def deception_reply(self, key: str, text: str, discussion: str) -> str:
         return self.client.complete(deception_prompt(text, discussion), system=None)
+
+    def close(self) -> None:
+        """Close the client's connections; a later reply reconnects."""
+        self.client.close()
 
 
 @functools.lru_cache(maxsize=None)

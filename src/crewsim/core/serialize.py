@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
 
 from crewsim.core.types import GameRecord, MapSpec
 
@@ -47,18 +46,3 @@ def encode_record(record: GameRecord) -> str:
 
 def decode_record(line: str) -> GameRecord:
     return GameRecord.from_dict(json.loads(line))
-
-
-def write_records(records: list[GameRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(encode_record(record))
-            fh.write("\n")
-
-
-def read_records(path: str | Path) -> Iterator[GameRecord]:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield decode_record(line)

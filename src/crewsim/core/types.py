@@ -120,50 +120,6 @@ class Action:
         raise ValueError(f"unknown action kind {kind!r}")
 
 
-def action_from_tag(tag: str, name_to_id: dict[str, int]) -> Action | None:
-    """Inverse of ``Action.tag``. Returns None when the tag does not parse.
-
-    Player names resolve case-insensitively through ``name_to_id``; room names
-    are kept verbatim (tags written by the engine always carry exact names).
-    """
-    text = " ".join(tag.split())
-    if not text:
-        return None
-    upper = text.upper()
-    lower_names = {name.lower(): pid for name, pid in name_to_id.items()}
-
-    if upper.startswith("SPEAK"):
-        rest = text[len("SPEAK"):].lstrip()
-        if rest.startswith(":"):
-            rest = rest[1:].lstrip()
-        return Action.speak(rest)
-    if upper == "REPORT BODY":
-        return Action.report_body()
-    if upper == "CALL MEETING":
-        return Action.call_meeting()
-    if upper == "VOTE SKIP":
-        return Action.vote(None)
-    if upper.startswith("COMPLETE TASK "):
-        index = text[len("COMPLETE TASK "):].strip()
-        return Action.complete_task(int(index)) if index.isdigit() else None
-    head, _, rest = text.partition(" ")
-    rest = rest.strip()
-    if not rest:
-        return None
-    head = head.upper()
-    if head == "MOVE":
-        return Action.move(rest)
-    if head == "VENT":
-        return Action.vent(rest)
-    if head == "KILL":
-        pid = lower_names.get(rest.lower())
-        return Action.kill(pid) if pid is not None else None
-    if head == "VOTE":
-        pid = lower_names.get(rest.lower())
-        return Action.vote(pid) if pid is not None else None
-    return None
-
-
 @dataclass
 class MapSpec:
     """Named rooms with a symmetric walk graph and a symmetric vent graph."""

@@ -456,11 +456,11 @@ def run_meeting(state: GameState, agents: dict) -> tuple[GameState, MeetingState
             agent = agents[pid]
             try:
                 text = agent.speak(observation) or ""
+                extras = _log_exchange(agent)  # a failed call has no exchange of its own
             except Exception as exc:  # noqa: BLE001
                 logger.warning("game %s: agent %d failed to speak: %s", state.game_id, pid, exc)
-                text = ""
+                text, extras = "", {}
             apply_action(state, pid, Action.speak(text))
-            extras = _log_exchange(agent)
             if extras:
                 state.events[-1].data.update(extras)
         meeting.discussion_round += 1

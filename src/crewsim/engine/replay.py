@@ -1,36 +1,30 @@
-"""Re-derive a game from its record and check it reproduces the same state.
+"""Re-derive a game from its record and check it reproduces the same log.
 
 Replay rebuilds one policy per player whose decisions are the logged actions,
 utterances, and votes, then runs a fresh engine with the same config and
-seed. For any faithfully logged game the replay must reproduce the same
-effect-event sequence and final outcome.
+seed. A logged action is answered by looking its tag up in the menu the
+engine offers at that turn; a tag that is not on the menu was an illegal
+action, which only ever produced a no-op, so the replay abstains instead.
+
+``verify_record`` compares every event except the per-turn bookkeeping
+(``turn`` and ``no_op``), with a chat agent's logged prompt and raw reply set
+aside: a replay has no model to reproduce them. An event kind the engine
+gains later is checked without a change here.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from crewsim.agents.base import AgentResponse
-from crewsim.core.types import GameRecord, action_from_tag, player_name
+from crewsim.core.types import GameRecord
 from crewsim.engine.engine import EXCHANGE_FIELDS, run_game
 
-# Events that change the world (as opposed to bookkeeping like "turn"/"no_op").
-EFFECT_KINDS = (
-    "move",
-    "task_complete",
-    "kill",
-    "vent",
-    "meeting_start",
-    "utterance",
-    "vote",
-    "votes_tallied",
-    "ejection",
-    "reveal",
-    "no_ejection",
-    "meeting_end",
-    "game_end",
-)
+# Per-turn bookkeeping; an illegal action logs "turn" + "no_op" where its
+# replay logs one abstention "no_op", with the same effects.
+BOOKKEEPING_KINDS = ("turn", "no_op")
 
 
 @dataclass
@@ -38,14 +32,13 @@ class ReplayPolicy:
     """Feeds a player's logged behavior back into the engine."""
 
     player_id: int
-    decisions: deque = field(default_factory=deque)  # Action | None per task turn
+    decisions: deque = field(default_factory=deque)  # action tag | None per task turn
     utterances: deque = field(default_factory=deque)
     votes: deque = field(default_factory=deque)
 
     def decide(self, observation) -> AgentResponse | None:
-        if not self.decisions:
-            return None
-        action = self.decisions.popleft()
+        tag = self.decisions.popleft() if self.decisions else None
+        action = next((a for a in observation.legal_actions if a.tag == tag), None)
         if action is None:
             return None
         return AgentResponse(condensed_memory="", thinking="", action=action)
@@ -58,14 +51,11 @@ class ReplayPolicy:
 
 
 def build_replay_roster(record: GameRecord) -> list[ReplayPolicy]:
-    n = record.config.num_players
-    name_to_id = {player_name(pid): pid for pid in range(n)}
-    roster = [ReplayPolicy(pid) for pid in range(n)]
+    roster = [ReplayPolicy(pid) for pid in range(record.config.num_players)]
     for event in record.events:
         kind, data = event.kind, event.data
         if kind == "turn":
-            action = action_from_tag(data["action"], name_to_id)
-            roster[data["player"]].decisions.append(action)
+            roster[data["player"]].decisions.append(data["action"])
         elif kind == "no_op" and data.get("reason") in ("abstention", "agent_error"):
             roster[data["player"]].decisions.append(None)
         elif kind == "utterance":
@@ -81,12 +71,10 @@ def replay_record(record: GameRecord) -> GameRecord:
 
 
 def _effect_trace(record: GameRecord) -> list[tuple]:
-    # A chat agent's logged prompt and raw reply are inputs behind an effect,
-    # which a replay has no model to reproduce.
     return [
         (e.timestep, e.round, e.kind, {k: v for k, v in e.data.items() if k not in EXCHANGE_FIELDS})
         for e in record.events
-        if e.kind in EFFECT_KINDS
+        if e.kind not in BOOKKEEPING_KINDS
     ]
 
 
@@ -100,15 +88,9 @@ def verify_record(record: GameRecord) -> list[str]:
         problems.append("meeting rounds differ")
     if replayed.ejection_rounds != record.ejection_rounds:
         problems.append("ejection rounds differ")
-    original, rerun = _effect_trace(record), _effect_trace(replayed)
-    if original != rerun:
-        limit = min(len(original), len(rerun))
-        divergence = next(
-            (i for i in range(limit) if original[i] != rerun[i]), limit
-        )
-        problems.append(
-            f"effect trace diverges at index {divergence}: "
-            f"{original[divergence] if divergence < len(original) else 'missing'} vs "
-            f"{rerun[divergence] if divergence < len(rerun) else 'missing'}"
-        )
+    traces = zip_longest(_effect_trace(record), _effect_trace(replayed), fillvalue="missing")
+    for index, (logged, rerun) in enumerate(traces):
+        if logged != rerun:
+            problems.append(f"effect trace diverges at index {index}: {logged} vs {rerun}")
+            break
     return problems

@@ -140,6 +140,9 @@ def annotate_corpus(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+        close = getattr(backend, "close", None)
+        if close is not None:
+            close()
 
     merged_path = out / "annotations.jsonl"
     with open(merged_path, "w", encoding="utf-8") as fh:

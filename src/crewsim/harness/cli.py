@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 from pathlib import Path
@@ -10,7 +11,6 @@ from pathlib import Path
 from crewsim.agents.chat import ChatEndpointConfig
 from crewsim.annotate.backends import ChatBackend, ReplayBackend, RuleBackend
 from crewsim.annotate.runs import load_run
-from crewsim.core.serialize import read_records
 from crewsim.core.types import GameRecord, player_name
 from crewsim.engine.replay import verify_record
 from crewsim.harness.analysis import analyze
@@ -106,11 +106,16 @@ def _print_event(event, names) -> None:
 
 
 def cmd_replay(args) -> int:
-    records = list(read_records(args.game))
-    if not records:
-        _echo(f"no records in {args.game}")
+    lines = args.game.read_text("utf-8").splitlines()
+    try:
+        data = json.loads(lines[args.index])
+    except IndexError:
+        _echo(f"{args.game} holds {len(lines)} record line(s); --index {args.index} is out of range")
         return 2
-    record: GameRecord = records[args.index]
+    if data.get("failed"):
+        _echo(f"game {data.get('game_id')} failed and has no record: {data.get('error')}")
+        return 2
+    record = GameRecord.from_dict(data)
     names = {pid: player_name(pid) for pid in range(record.config.num_players)}
     for event in record.events:
         _print_event(event, names)
@@ -164,7 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser("replay", help="pretty-print (and optionally verify) a logged game")
     replay.add_argument("--game", type=Path, required=True, help="JSONL file of game records")
-    replay.add_argument("--index", type=int, default=0, help="record index within the file")
+    replay.add_argument(
+        "--index", type=int, default=0, help="line to replay, from 0; in a config's JSONL, line N is repetition N"
+    )
     replay.add_argument("--verify", action="store_true", help="re-simulate and compare")
     replay.set_defaults(func=cmd_replay)
     return parser

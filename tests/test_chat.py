@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import gc
 import json
 import socket
 import subprocess
@@ -29,8 +30,10 @@ from crewsim.agents.mock_server import (
     scripted_sequence,
     static_completion,
 )
+from crewsim.annotate.backends import ChatBackend
 from crewsim.core.types import GameConfig, Role
 from crewsim.engine.engine import build_observation, new_game
+from crewsim.harness.annotator import annotate_corpus
 
 
 def endpoint(url, retries=2):
@@ -243,6 +246,7 @@ class KeepAliveServer(ThreadingHTTPServer):
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True  # headers and body go out in two writes
 
             def do_POST(self) -> None:  # noqa: N802 - http.server API
                 self.rfile.read(int(self.headers.get("Content-Length", 0)))
@@ -329,6 +333,23 @@ def test_close_shuts_every_thread_connection_and_reuse_reconnects():
         assert client.complete("x") == "ok"  # this thread reconnects
         client.close()
     assert len(set(server.clients)) == 3
+
+
+def test_annotate_corpus_closes_the_chat_backend(tmp_path):
+    game = Path(__file__).parent / "data" / "golden" / "corpus" / "config_00_3v1.jsonl"
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / game.name).write_text(game.read_text("utf-8").splitlines()[0] + "\n", "utf-8")
+    with KeepAliveServer() as server:
+        config = ChatEndpointConfig(base_url=server.url, model="m", timeout=5.0, max_retries=0, max_concurrency=2)
+        backend = ChatBackend(config)
+        annotate_corpus(corpus, backend, runs=1, out_dir=tmp_path / "annotations")
+        del backend
+        gc.collect()  # an unclosed socket warns here, an error under this suite's filters
+        connections = len(set(server.clients))
+        assert connections >= 1
+        for _ in range(connections):
+            assert server.closed.acquire(timeout=5)
 
 
 def _clear_proxy_env(monkeypatch):

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from crewsim.core.serialize import decode_record, default_map, encode_record, load_map, save_map
 from crewsim.core.types import (
-    Action,
     GameConfig,
     MapSpec,
     UtteranceRecord,
     Role,
-    action_from_tag,
     stable_seed,
     validate_config,
     word_count,
@@ -99,32 +97,6 @@ def test_map_file_round_trip(tmp_path):
     path = tmp_path / "map.json"
     save_map(default_map(), path)
     assert load_map(path) == default_map()
-
-
-# ---- action tags ----
-
-
-def test_action_tags_round_trip_through_parser():
-    names = {"Red": 0, "Blue": 1}
-    actions = [
-        Action.move("Storage"),
-        Action.complete_task(2),
-        Action.kill(1),
-        Action.vent("Navigation"),
-        Action.report_body(),
-        Action.call_meeting(),
-        Action.speak("I think Red vented"),
-        Action.vote(0),
-        Action.vote(None),
-    ]
-    for action in actions:
-        assert action_from_tag(action.tag, names) == action
-
-
-def test_action_from_tag_rejects_garbage():
-    assert action_from_tag("DANCE", {}) is None
-    assert action_from_tag("KILL Nobody", {"Red": 0}) is None
-    assert action_from_tag("", {}) is None
 
 
 # ---- serialization ----

@@ -18,6 +18,7 @@ from crewsim.core.types import (
     PHASE_MEETING,
     PHASE_TASK,
     Action,
+    ActionKind,
     GameConfig,
     Outcome,
     Role,
@@ -349,6 +350,37 @@ def test_invalid_vote_becomes_skip():
     assert all(target is None for target in tallied.data["votes"].values())
 
 
+class FlakySpeaker(Scripted):
+    """Keeps its last exchange, as a chat agent does, and raises on every
+    second ``speak`` before that call has an exchange."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def speak(self, obs):
+        self.calls += 1
+        if self.calls % 2 == 0:
+            raise RuntimeError("endpoint down")
+        self.last_exchange = {"prompt": f"prompt #{self.calls}", "raw": f"reply #{self.calls}"}
+        return f"statement {self.calls}"
+
+
+def test_failed_speak_logs_no_exchange():
+    state = new_game(GameConfig(3, 1, seed=5, discussion_rounds=2))
+    start_emergency_meeting(state)
+    agents = {p.id: FlakySpeaker() for p in state.players}
+    run_meeting(state, agents)
+    utterances = [e.data for e in state.events if e.kind == "utterance"]
+    assert len(utterances) == 8
+    for data in utterances:
+        if data["text"]:
+            call = data["text"].split()[-1]
+            assert (data["prompt"], data["raw"]) == (f"prompt #{call}", f"reply #{call}")
+        else:
+            assert "prompt" not in data and "raw" not in data
+
+
 # ---- voting ----
 
 
@@ -526,6 +558,61 @@ def test_chat_game_with_meeting_replays_exactly():
         record = run_game(cfg, make_chat_roster(cfg, endpoint))
     spoken = [e for e in record.events if e.kind == "utterance" and e.data["text"]]
     assert spoken and all("prompt" in e.data and "raw" in e.data for e in spoken)
+    assert verify_record(record) == []
+
+
+TASK_PHASE_KINDS = (
+    ActionKind.KILL,
+    ActionKind.REPORT_BODY,
+    ActionKind.COMPLETE_TASK,
+    ActionKind.VENT,
+    ActionKind.CALL_MEETING,
+    ActionKind.MOVE,
+)
+
+
+def menu_picker(played: set, illegal_at=None, fail_at=None) -> Scripted:
+    """Plays the menu's first kind in ``TASK_PHASE_KINDS`` order; its turn
+    ``illegal_at`` plays an action off the menu and its turn ``fail_at`` raises."""
+    turns = itertools.count()
+
+    def decide(obs):
+        turn = next(turns)
+        if turn == fail_at:
+            raise RuntimeError("agent down")
+        if turn == illegal_at:
+            return response(Action.move("Nowhere"))
+        kind = next(k for k in TASK_PHASE_KINDS if any(a.kind is k for a in obs.legal_actions))
+        options = [a for a in obs.legal_actions if a.kind is kind]
+        played.add(kind)
+        return response(options[obs.round % len(options)])
+
+    return Scripted(decide=decide)
+
+
+def test_every_task_phase_kind_an_illegal_action_and_an_agent_error_replay():
+    played = set()
+    cfg = GameConfig(4, 1, seed=1, max_rounds=40)
+    record = run_game(cfg, [menu_picker(played, 3, 4) if pid == 0 else menu_picker(played) for pid in range(5)])
+    assert played == set(TASK_PHASE_KINDS)
+    reasons = {e.data["reason"] for e in record.events if e.kind == "no_op"}
+    assert {"illegal", "agent_error"} <= reasons
+    assert verify_record(record) == []
+
+
+def test_rewritten_game_start_is_reported():
+    cfg = GameConfig(3, 1, seed=7)
+    record = run_game(cfg, make_scripted_roster(cfg, "random_walker", "hunter"))
+    record.events[0].data["turn_order"].reverse()
+    problems = verify_record(record)
+    assert len(problems) == 1 and "index 0" in problems[0] and "game_start" in problems[0]
+
+
+def test_rewritten_turn_bookkeeping_is_not_reported():
+    cfg = GameConfig(3, 1, seed=7)
+    record = run_game(cfg, make_scripted_roster(cfg, "random_walker", "hunter"))
+    turn = next(e for e in record.events if e.kind == "turn")
+    turn.data["thinking"] = "rewritten after the game"
     assert verify_record(record) == []
 
 

@@ -16,13 +16,14 @@ from crewsim.agents.mock_server import MockChatServer, completion_body
 from crewsim.annotate.backends import ChatBackend, ReplayBackend, RuleBackend
 from crewsim.annotate.labels import UNCLASSIFIABLE
 from crewsim.annotate.classify import deception_template
+from crewsim.engine import engine
 from crewsim.engine.replay import verify_record
 from crewsim.harness.analysis import analyze
 from crewsim.harness.annotator import annotate_corpus, collect_items
 from crewsim.harness.cli import main as cli_main
 from crewsim.harness.corpus import count_failures, iter_corpus
 from crewsim.harness.plan import ExperimentPlan, default_plan
-from crewsim.harness.runner import _run_one, run_experiment
+from crewsim.harness.runner import _run_one, build_roster, run_experiment
 from mockmodels import ContentKeyedModel, game_reply
 
 TINY_PLAN = {
@@ -517,6 +518,41 @@ def test_golden_pipeline_snapshot(part, request):
     assert mismatched == []
 
 
+def test_every_golden_menu_has_distinct_tags(monkeypatch):
+    """Replay finds a logged action by its tag, so no menu may hold two
+    actions with one tag."""
+    menus = []
+    legal_actions = engine.legal_actions
+
+    def recording(state, player_id):
+        menus.append(legal_actions(state, player_id))
+        return menus[-1]
+
+    monkeypatch.setattr(engine, "legal_actions", recording)
+    plan = ExperimentPlan.from_file(Path(__file__).parent / "data" / "golden_plan.json")
+    for ci, entry in enumerate(plan.entries):
+        for rep in range(entry.repetitions):
+            config = plan.game_config(ci, rep)
+            engine.run_game(config, build_roster(config, plan.agents))
+    assert menus
+    assert all(len({action.tag for action in menu}) == len(menu) for menu in menus)
+
+
+def test_every_golden_game_replays_through_the_cli(capsys):
+    for path in sorted((GOLDEN / "corpus").glob("config_*.jsonl")):
+        for index in range(len(path.read_text("utf-8").splitlines())):
+            assert cli_main(["replay", "--game", str(path), "--index", str(index), "--verify"]) == 0
+            assert capsys.readouterr().err == "replay verified: event trace and outcome reproduced\n"
+
+
+def test_cli_replays_a_per_game_file(capsys):
+    corpus = GOLDEN / "corpus"
+    assert cli_main(["replay", "--game", str(corpus / "config_00_3v1.jsonl"), "--index", "3"]) == 0
+    from_jsonl = capsys.readouterr().out
+    assert cli_main(["replay", "--game", str(corpus / "config_00_3v1" / "game_0003.json"), "--verify"]) == 0
+    assert capsys.readouterr().out == from_jsonl
+
+
 # ---- concurrent chat games ----
 
 CHAT_CONFIGS = [
@@ -669,3 +705,16 @@ def test_cli_replay_reports_index_bounds(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", "utf-8")
     assert cli_main(["replay", "--game", str(empty)]) == 2
+
+
+def test_cli_replay_reads_a_jsonl_with_a_failed_game(tmp_path, capsys):
+    game = (GOLDEN / "corpus" / "config_00_3v1" / "game_0000.json").read_text("utf-8")
+    failed = json.dumps({"failed": True, "game_id": "c00-3v1-r0001", "error": "endpoint down"})
+    path = tmp_path / "config_00_3v1.jsonl"
+    path.write_text(game + failed + "\n", "utf-8")
+    assert cli_main(["replay", "--game", str(path), "--index", "0", "--verify"]) == 0
+    capsys.readouterr()
+    assert cli_main(["replay", "--game", str(path), "--index", "1"]) == 2
+    assert capsys.readouterr().err == "game c00-3v1-r0001 failed and has no record: endpoint down\n"
+    assert cli_main(["replay", "--game", str(path), "--index", "2"]) == 2
+    assert "--index 2 is out of range" in capsys.readouterr().err
