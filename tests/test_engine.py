@@ -296,6 +296,30 @@ def test_agent_exception_degrades_to_no_op():
     assert "agent_error" in reasons
 
 
+class FailsAfterFirstDecide(Scripted):
+    """Abstains once with an exchange, as a chat agent does, then raises on
+    every later ``decide`` while that old exchange stays set."""
+
+    def decide(self, obs):
+        self.decide_calls += 1
+        if self.decide_calls > 1:
+            raise RuntimeError("endpoint down")
+        self.last_exchange = {"prompt": "first prompt", "raw": "first reply"}
+        return None
+
+
+def test_failed_decide_logs_agent_error_without_the_stale_exchange():
+    state = new_game(GameConfig(3, 1, seed=5))
+    pid = state.turn_order[0]
+    agents = idle_roster(4)
+    agents[pid] = FailsAfterFirstDecide()
+    run_task_phase(state, agents)
+    run_task_phase(state, agents)
+    first, second = [e.data for e in state.events if e.kind == "no_op" and e.data["player"] == pid]
+    assert first == {"player": pid, "reason": "abstention", "prompt": "first prompt", "raw": "first reply"}
+    assert second == {"player": pid, "reason": "agent_error", "detail": "endpoint down"}
+
+
 # ---- meetings ----
 
 
@@ -348,6 +372,23 @@ def test_invalid_vote_becomes_skip():
     run_meeting(state, agents)
     tallied = next(e for e in state.events if e.kind == "votes_tallied")
     assert all(target is None for target in tallied.data["votes"].values())
+
+
+def test_raising_vote_becomes_skip_ballot():
+    state = new_game(GameConfig(3, 1, seed=5))
+    imp, crew = impostor_and_crew(state)
+    start_emergency_meeting(state)
+
+    def boom(obs):
+        raise RuntimeError("endpoint down")
+
+    agents = {p.id: Scripted(vote=lambda obs, t=imp.id: t) for p in state.players}
+    agents[crew.id] = Scripted(vote=boom)
+    run_meeting(state, agents)
+    ballots = {e.data["voter"]: e.data["target"] for e in state.events if e.kind == "vote"}
+    assert ballots[crew.id] is None
+    assert sum(target == imp.id for target in ballots.values()) == 3
+    assert not any(e.kind == "no_op" for e in state.events)
 
 
 class FlakySpeaker(Scripted):
