@@ -358,26 +358,6 @@ class UtteranceRecord:
     text: str
     word_count: int
 
-    @classmethod
-    def make(
-        cls,
-        game_id: str,
-        meeting_index: int,
-        discussion_round: int,
-        speaker_id: int,
-        speaker_role: Role,
-        text: str,
-    ) -> UtteranceRecord:
-        return cls(
-            game_id=game_id,
-            meeting_index=meeting_index,
-            discussion_round=discussion_round,
-            speaker_id=speaker_id,
-            speaker_role=speaker_role,
-            text=text,
-            word_count=word_count(text),
-        )
-
     @property
     def abstained(self) -> bool:
         return self.text == ""
@@ -393,10 +373,10 @@ class MeetingCause:
     caller: int  # reporter or emergency caller
     victim: int | None = None
 
-    def describe(self, names: dict[int, str]) -> str:
+    def describe(self) -> str:
         if self.kind == "body_report":
-            return f"{names[self.caller]} reported {names[self.victim]}'s body"
-        return f"{names[self.caller]} called an emergency meeting"
+            return f"{player_name(self.caller)} reported {player_name(self.victim)}'s body"
+        return f"{player_name(self.caller)} called an emergency meeting"
 
 
 @dataclass
@@ -404,7 +384,7 @@ class MeetingState:
     cause: MeetingCause
     index: int
     discussion_round: int = 0  # completed rounds, 0..k
-    transcript: list[UtteranceRecord] = field(default_factory=list)
+    transcript: list[tuple[str, str]] = field(default_factory=list)  # (speaker name, text)
     votes: dict[int, int | None] = field(default_factory=dict)
 
 
@@ -433,10 +413,6 @@ class Outcome:
     @classmethod
     def timeout(cls) -> Outcome:
         return cls(*cls.TIMEOUT)
-
-    @property
-    def is_timeout(self) -> bool:
-        return self.reason == "timeout"
 
     def to_dict(self) -> dict:
         return {"winner": self.winner, "reason": self.reason}
@@ -484,7 +460,6 @@ class GameState:
     outcome: Outcome | None = None
     bodies: list[tuple[int, str]] = field(default_factory=list)
     events: list[Event] = field(default_factory=list)
-    meeting_count: int = 0
     meeting_rounds: list[int] = field(default_factory=list)
     ejection_rounds: list[int] = field(default_factory=list)
     # index into `public_events` of the next item each player has not yet seen
@@ -500,17 +475,11 @@ class GameState:
     def alive_players(self) -> list[PlayerState]:
         return [p for p in self.players if p.alive]
 
-    def alive_ids(self) -> list[int]:
-        return [p.id for p in self.players if p.alive]
-
     def alive_count(self, role: Role) -> int:
         return sum(1 for p in self.players if p.alive and p.role is role)
 
     def all_tasks_done(self) -> bool:
         return all(t.done for p in self.players for t in p.tasks)
-
-    def names(self) -> dict[int, str]:
-        return {p.id: p.name for p in self.players}
 
     def bodies_in(self, room: str) -> list[int]:
         return [victim for victim, where in self.bodies if where == room]

@@ -10,9 +10,12 @@ Agents are duck-typed; the engine calls three methods:
 - ``speak(observation) -> str`` (discussion; empty string = abstention)
 - ``vote(observation) -> int | None`` (vote phase; None = Skip)
 
-A policy may additionally expose a ``last_exchange`` dict (``{"prompt": ...,
-"raw": ...}``) after each call; the engine copies it into the event log so
-chat-backed games record the full exchange.
+Every call goes through one path, ``_consult``, which builds the observation,
+calls the method and logs a failure. A policy may also expose a
+``last_exchange`` dict (``{"prompt": ..., "raw": ...}``) after each call; the
+engine copies it into the event log, so chat-backed games record the exchange
+of every ``decide`` and ``speak``. Ballot exchanges are not logged, and a
+failed call has none.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ from crewsim.core.types import (
     PlayerState,
     Role,
     Task,
-    UtteranceRecord,
     player_name,
     validate_config,
+    word_count,
 )
 from crewsim.engine.observation import MeetingContext, Observation
 
@@ -136,7 +139,7 @@ def legal_actions(state: GameState, player_id: int) -> list[Action]:
         meeting = state.meeting
         if meeting.discussion_round < state.config.discussion_rounds:
             return [Action.speak("")]
-        votes = [Action.vote(pid) for pid in state.alive_ids()]
+        votes = [Action.vote(p.id) for p in state.alive_players()]
         votes.append(Action.vote(None))
         return votes
 
@@ -225,38 +228,29 @@ def apply_action(state: GameState, player_id: int, action: Action):
     return state, state.events[before:]
 
 
-def _record_utterance(state: GameState, player_id: int, text: str) -> UtteranceRecord:
+def _record_utterance(state: GameState, player_id: int, text: str) -> None:
     meeting = state.meeting
     player = state.player(player_id)
-    record = UtteranceRecord.make(
-        game_id=state.game_id,
-        meeting_index=meeting.index,
-        discussion_round=meeting.discussion_round,
-        speaker_id=player_id,
-        speaker_role=player.role,
-        text=text.strip(),
-    )
-    meeting.transcript.append(record)
+    text = text.strip()
+    meeting.transcript.append((player.name, text))
     state.append_event(
         "utterance",
         {
-            "game_id": record.game_id,
-            "meeting_index": record.meeting_index,
-            "discussion_round": record.discussion_round,
-            "speaker_id": record.speaker_id,
-            "speaker_role": record.speaker_role.value,
-            "text": record.text,
-            "word_count": record.word_count,
+            "game_id": state.game_id,
+            "meeting_index": meeting.index,
+            "discussion_round": meeting.discussion_round,
+            "speaker_id": player_id,
+            "speaker_role": player.role.value,
+            "text": text,
+            "word_count": word_count(text),
         },
     )
-    return record
 
 
 def _start_meeting(state: GameState, cause: MeetingCause) -> None:
     state.phase = PHASE_MEETING
-    meeting = MeetingState(cause=cause, index=state.meeting_count)
+    meeting = MeetingState(cause=cause, index=len(state.meeting_rounds))
     state.meeting = meeting
-    state.meeting_count += 1
     state.meeting_rounds.append(state.round)
     state.append_event(
         "meeting_start",
@@ -267,15 +261,15 @@ def _start_meeting(state: GameState, cause: MeetingCause) -> None:
             "victim": cause.victim,
         },
     )
-    state.announce(cause.describe(state.names()))
+    state.announce(cause.describe())
 
 
-def check_termination(state: GameState) -> Outcome | None:
-    """Evaluate the termination rules in their fixed precedence order.
+def _check_win(state: GameState) -> Outcome | None:
+    """The win conditions in their fixed precedence order.
 
     Parity (alive impostors >= alive crewmates), then all impostors ejected,
-    then all tasks done, then the round cap. At most one condition can become
-    newly true per action, so the fixed order matches action order.
+    then all tasks done. At most one condition can become newly true per
+    action, so the fixed order matches action order.
     """
     impostors = state.alive_count(Role.IMPOSTOR)
     crew = state.alive_count(Role.CREWMATE)
@@ -285,16 +279,14 @@ def check_termination(state: GameState) -> Outcome | None:
         return Outcome.crew_ejected()
     if state.all_tasks_done():
         return Outcome.crew_tasks()
-    if state.round >= state.config.max_rounds:
-        return Outcome.timeout()
     return None
 
 
-def _check_win(state: GameState) -> Outcome | None:
-    """Win conditions only; the round cap is applied between phases."""
-    outcome = check_termination(state)
-    if outcome is not None and outcome.is_timeout:
-        return None
+def check_termination(state: GameState) -> Outcome | None:
+    """The win conditions, then the round cap, which applies between phases."""
+    outcome = _check_win(state)
+    if outcome is None and state.round >= state.config.max_rounds:
+        return Outcome.timeout()
     return outcome
 
 
@@ -335,14 +327,13 @@ def build_observation(state: GameState, player_id: int) -> Observation:
     unseen = tuple(state.public_events[cursor:])
     state.public_cursor[player_id] = len(state.public_events)
 
-    names = state.names()
     room = player.location
     visible = tuple(
         (other.id, other.name)
         for other in state.alive_players()
         if other.location == room and other.id != player_id
     )
-    bodies = tuple((victim, names[victim]) for victim in state.bodies_in(room))
+    bodies = tuple((victim, player_name(victim)) for victim in state.bodies_in(room))
 
     meeting_ctx = None
     if state.phase == PHASE_MEETING:
@@ -350,11 +341,11 @@ def build_observation(state: GameState, player_id: int) -> Observation:
         stage = "discussion" if meeting.discussion_round < state.config.discussion_rounds else "vote"
         meeting_ctx = MeetingContext(
             index=meeting.index,
-            cause=meeting.cause.describe(names),
+            cause=meeting.cause.describe(),
             stage=stage,
             discussion_round=meeting.discussion_round,
             attendees=tuple((p.id, p.name) for p in state.alive_players()),
-            transcript=tuple((names[u.speaker_id], u.text) for u in meeting.transcript),
+            transcript=tuple(meeting.transcript),
         )
 
     return Observation(
@@ -362,9 +353,7 @@ def build_observation(state: GameState, player_id: int) -> Observation:
         viewer_name=player.name,
         viewer_role=player.role,
         round=state.round,
-        timestep=state.timestep,
         current_room=room,
-        roster=tuple((p.id, p.name) for p in state.players),
         visible_players=visible,
         visible_bodies=bodies,
         tasks=tuple((i, t.room, t.done) for i, t in enumerate(player.tasks)),
@@ -384,11 +373,31 @@ def build_observation(state: GameState, player_id: int) -> Observation:
 EXCHANGE_FIELDS = ("prompt", "raw")
 
 
-def _log_exchange(agent) -> dict:
+def _seated(state: GameState):
+    """The alive players in turn order, each checked when its turn comes, so
+    a player killed earlier in the same pass is skipped."""
+    return (pid for pid in state.turn_order if state.players[pid].alive)
+
+
+def _consult(state: GameState, agents: dict, pid: int, method: str):
+    """Ask player ``pid``'s agent for a decision through ``method``
+    (``"decide"``, ``"speak"`` or ``"vote"``) on a fresh observation.
+
+    Returns ``(reply, exchange, error)``: the agent's reply, the exchange
+    fields to log, and the failure text or None. A failed call is logged and
+    has no reply and no exchange.
+    """
+    observation = build_observation(state, pid)
+    agent = agents[pid]
+    try:
+        reply = getattr(agent, method)(observation)
+    except Exception as exc:  # noqa: BLE001 - agent failures must not kill the game
+        logger.warning("game %s: agent %d failed to %s: %s", state.game_id, pid, method, exc)
+        return None, {}, str(exc)
     exchange = getattr(agent, "last_exchange", None)
-    if isinstance(exchange, dict):
-        return {k: v for k, v in exchange.items() if k in EXCHANGE_FIELDS}
-    return {}
+    if not isinstance(exchange, dict):
+        exchange = {}
+    return reply, {k: v for k, v in exchange.items() if k in EXCHANGE_FIELDS}, None
 
 
 def run_task_phase(state: GameState, agents: dict) -> GameState:
@@ -403,23 +412,15 @@ def run_task_phase(state: GameState, agents: dict) -> GameState:
     state.round += 1
     state.timestep = state.round
 
-    for pid in state.turn_order:
+    for pid in _seated(state):
         if state.phase != PHASE_TASK:
             break
-        player = state.player(pid)
-        if not player.alive:
+        response, exchange, error = _consult(state, agents, pid, "decide")
+        if error is not None:
+            state.append_event("no_op", {"player": pid, "reason": "agent_error", "detail": error})
             continue
-        observation = build_observation(state, pid)
-        agent = agents[pid]
-        try:
-            response = agent.decide(observation)
-        except Exception as exc:  # noqa: BLE001 - agent failures must not kill the game
-            logger.warning("game %s: agent %d failed: %s", state.game_id, pid, exc)
-            state.append_event("no_op", {"player": pid, "reason": "agent_error", "detail": str(exc)})
-            continue
-        extras = _log_exchange(agent)
         if response is None:
-            state.append_event("no_op", {"player": pid, "reason": "abstention", **extras})
+            state.append_event("no_op", {"player": pid, "reason": "abstention", **exchange})
             continue
         state.append_event(
             "turn",
@@ -428,7 +429,7 @@ def run_task_phase(state: GameState, agents: dict) -> GameState:
                 "condensed_memory": response.condensed_memory,
                 "thinking": response.thinking,
                 "action": response.action.tag,
-                **extras,
+                **exchange,
             },
         )
         try:
@@ -448,34 +449,14 @@ def run_meeting(state: GameState, agents: dict) -> tuple[GameState, MeetingState
 
     k = state.config.discussion_rounds
     for _ in range(k):
-        for pid in state.turn_order:
-            player = state.player(pid)
-            if not player.alive:
-                continue
-            observation = build_observation(state, pid)
-            agent = agents[pid]
-            try:
-                text = agent.speak(observation) or ""
-                extras = _log_exchange(agent)  # a failed call has no exchange of its own
-            except Exception as exc:  # noqa: BLE001
-                logger.warning("game %s: agent %d failed to speak: %s", state.game_id, pid, exc)
-                text, extras = "", {}
-            apply_action(state, pid, Action.speak(text))
-            if extras:
-                state.events[-1].data.update(extras)
+        for pid in _seated(state):
+            text, exchange, _ = _consult(state, agents, pid, "speak")
+            apply_action(state, pid, Action.speak(text or ""))
+            state.events[-1].data.update(exchange)
         meeting.discussion_round += 1
 
-    for pid in state.turn_order:
-        player = state.player(pid)
-        if not player.alive:
-            continue
-        observation = build_observation(state, pid)
-        agent = agents[pid]
-        try:
-            target = agent.vote(observation)
-        except Exception as exc:  # noqa: BLE001
-            logger.warning("game %s: agent %d failed to vote: %s", state.game_id, pid, exc)
-            target = None
+    for pid in _seated(state):
+        target, _, _ = _consult(state, agents, pid, "vote")  # ballot exchanges are not logged
         ballot = Action.vote(target)
         try:
             apply_action(state, pid, ballot)
@@ -483,7 +464,6 @@ def run_meeting(state: GameState, agents: dict) -> tuple[GameState, MeetingState
             state.append_event("no_op", {"player": pid, "reason": "illegal_vote", "detail": ballot.tag})
             apply_action(state, pid, Action.vote(None))
 
-    names = state.names()
     ejected = tally_votes(meeting.votes)
     state.append_event(
         "votes_tallied",
@@ -501,7 +481,7 @@ def run_meeting(state: GameState, agents: dict) -> tuple[GameState, MeetingState
         state.append_event("ejection", {"player": ejected, "meeting_index": meeting.index})
         role_text = "an Impostor" if target.role is Role.IMPOSTOR else "not an Impostor"
         state.append_event("reveal", {"player": ejected, "role": target.role.value})
-        state.announce(f"{names[ejected]} was ejected. {names[ejected]} was {role_text}.")
+        state.announce(f"{target.name} was ejected. {target.name} was {role_text}.")
     else:
         state.append_event("no_ejection", {"meeting_index": meeting.index})
         state.announce("The vote ended with no ejection.")
@@ -509,19 +489,15 @@ def run_meeting(state: GameState, agents: dict) -> tuple[GameState, MeetingState
     state.bodies.clear()
     state.append_event("meeting_end", {"meeting_index": meeting.index})
     state.meeting = None
+    state.phase = PHASE_TASK
     outcome = _check_win(state)
     if outcome is not None:
         _finish(state, outcome)
-    else:
-        state.phase = PHASE_TASK
     return state, meeting
 
 
 def _normalize_agents(state: GameState, agents) -> dict:
-    if isinstance(agents, dict):
-        roster = dict(agents)
-    else:
-        roster = {pid: agent for pid, agent in enumerate(agents)}
+    roster = dict(agents) if isinstance(agents, dict) else dict(enumerate(agents))
     missing = [p.id for p in state.players if p.id not in roster]
     if missing:
         raise ValueError(f"no agent supplied for players {missing}")

@@ -32,9 +32,7 @@ class Observation:
     viewer_name: str
     viewer_role: Role
     round: int
-    timestep: int
     current_room: str
-    roster: tuple[tuple[int, str], ...]  # every player in the game, (id, name)
     visible_players: tuple[tuple[int, str], ...]  # same room, alive, excluding viewer
     visible_bodies: tuple[tuple[int, str], ...]  # (victim id, victim name)
     tasks: tuple[tuple[int, str, bool], ...]  # (index, room, done)

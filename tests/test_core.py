@@ -57,10 +57,8 @@ def test_word_count_ignores_whitespace_shape(words):
 
 
 def test_utterance_record_abstention_iff_empty():
-    spoken = UtteranceRecord.make("g", 0, 1, 2, Role.CREWMATE, "hello there")
-    assert not spoken.abstained and spoken.word_count == 2
-    silent = UtteranceRecord.make("g", 0, 1, 2, Role.CREWMATE, "")
-    assert silent.abstained and silent.word_count == 0
+    assert not UtteranceRecord("g", 0, 1, 2, Role.CREWMATE, "hello there", 2).abstained
+    assert UtteranceRecord("g", 0, 1, 2, Role.CREWMATE, "", 0).abstained
 
 
 # ---- map ----
