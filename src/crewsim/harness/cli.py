@@ -31,6 +31,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_annotate(args) -> int:
+    if args.runs < 1:
+        _echo(f"--runs must be at least 1, got {args.runs}")
+        return 2
     if args.backend == "rules":
         backend = RuleBackend()
     elif args.backend == "chat":
@@ -107,11 +110,10 @@ def _print_event(event, names) -> None:
 
 def cmd_replay(args) -> int:
     lines = args.game.read_text("utf-8").splitlines()
-    try:
-        data = json.loads(lines[args.index])
-    except IndexError:
+    if not 0 <= args.index < len(lines):
         _echo(f"{args.game} holds {len(lines)} record line(s); --index {args.index} is out of range")
         return 2
+    data = json.loads(lines[args.index])
     if data.get("failed"):
         _echo(f"game {data.get('game_id')} failed and has no record: {data.get('error')}")
         return 2
@@ -148,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     annotate = sub.add_parser("annotate", help="label corpus utterances with a classifier backend")
     annotate.add_argument("--corpus", type=Path, required=True)
     annotate.add_argument("--backend", choices=("chat", "rules", "replay"), required=True)
-    annotate.add_argument("--runs", type=int, default=3)
+    annotate.add_argument("--runs", type=int, default=3, help="classifier passes per task, at least 1")
     annotate.add_argument("--out", type=Path, default=None)
     annotate.add_argument("--endpoint", type=Path, default=None, help="chat endpoint config JSON")
     annotate.add_argument("--replay-speech", type=Path, default=None, help="speech-act run file to replay")

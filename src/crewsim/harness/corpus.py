@@ -10,20 +10,26 @@ from crewsim.core.types import GameRecord
 
 
 def _iter_texts(corpus_dir: Path) -> Iterator[str]:
-    """The JSON text of each stored record, in (config, repetition) order."""
-    consolidated = sorted(corpus_dir.glob("config_*.jsonl"))
-    if consolidated:
-        for path in consolidated:
-            with open(path, encoding="utf-8") as fh:
+    """The JSON text of each stored record, in (config, repetition) order.
+
+    A configuration is read from its JSONL when it has one and from its game
+    files otherwise, as a rerun that stopped before rebuilding it leaves it.
+    """
+    names = {path.stem for path in corpus_dir.glob("config_*.jsonl")}
+    names.update(path.name for path in corpus_dir.glob("config_*") if path.is_dir())
+    for name in sorted(names):
+        jsonl = corpus_dir / f"{name}.jsonl"
+        if jsonl.is_file():
+            with open(jsonl, encoding="utf-8") as fh:
                 for line in fh:
                     line = line.strip()
                     if line:
                         yield line
-        return
-    for path in sorted(corpus_dir.glob("config_*/game_*.json")):
-        text = path.read_text("utf-8").strip()
-        if text:
-            yield text
+            continue
+        for path in sorted((corpus_dir / name).glob("game_*.json")):
+            text = path.read_text("utf-8").strip()
+            if text:
+                yield text
 
 
 def iter_corpus(corpus_dir: str | Path) -> Iterator[GameRecord]:

@@ -2,7 +2,8 @@
 
 Games are independent: each worker owns its game and writes one file, so a
 run can be parallelized, interrupted, and resumed (existing game files are
-skipped) without changing the resulting corpus bytes. A crashing game is
+skipped) without changing the resulting corpus bytes. The JSONLs are derived
+from the game files and rebuilt at the end of each run. A crashing game is
 recorded as a failure line and the run continues.
 
 Scripted games are CPU-bound and run in a process pool of ``workers``
@@ -114,7 +115,9 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path, workers: int = 1, 
     """Execute the plan into ``out_dir``; returns the corpus directory.
 
     Already-present game files are kept as-is, so deleting a subset of game
-    files and re-running regenerates exactly that subset.
+    files and re-running regenerates exactly that subset. The plan's JSONLs
+    are deleted first, so a run stopped before it rebuilds them leaves none
+    that disagrees with the game files.
     """
     echo = echo or (lambda msg: None)
     out = Path(out_dir)
@@ -125,8 +128,10 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path, workers: int = 1, 
 
     jobs = []
     for ci, entry in enumerate(plan.entries):
-        cfg_dir = out / plan.config_name(ci)
+        name = plan.config_name(ci)
+        cfg_dir = out / name
         cfg_dir.mkdir(exist_ok=True)
+        (out / f"{name}.jsonl").unlink(missing_ok=True)
         for rep in range(entry.repetitions):
             path = cfg_dir / f"game_{rep:04d}.json"
             if path.exists():

@@ -16,6 +16,7 @@ from crewsim.agents.mock_server import MockChatServer, completion_body
 from crewsim.annotate.backends import ChatBackend, ReplayBackend, RuleBackend
 from crewsim.annotate.labels import UNCLASSIFIABLE
 from crewsim.annotate.classify import deception_template
+from crewsim.core.serialize import encode_record
 from crewsim.engine import engine
 from crewsim.engine.replay import verify_record
 from crewsim.harness.analysis import analyze
@@ -23,6 +24,7 @@ from crewsim.harness.annotator import annotate_corpus, collect_items
 from crewsim.harness.cli import main as cli_main
 from crewsim.harness.corpus import count_failures, iter_corpus
 from crewsim.harness.plan import ExperimentPlan, default_plan
+from crewsim.harness import runner
 from crewsim.harness.runner import _run_one, build_roster, run_experiment
 from mockmodels import ContentKeyedModel, game_reply
 
@@ -104,6 +106,33 @@ def test_run_experiment_resume_regenerates_only_missing(tmp_path):
     run_experiment(tiny_plan(), out)
     assert tree_bytes(out) == baseline
     assert marker.stat().st_mtime_ns == stamp  # untouched on resume
+
+
+def test_a_configuration_without_its_jsonl_is_read_from_its_game_files(tmp_path):
+    """A rerun that stops before rebuilding the JSONLs leaves some
+    configurations without one; their games must still be read."""
+    out = tmp_path / "corpus"
+    run_experiment(ExperimentPlan.from_dict({**TINY_PLAN, "configs": TINY_PLAN["configs"][:1]}), out)
+    run_experiment(tiny_plan(), out)
+    complete = [encode_record(record) for record in iter_corpus(out)]
+    (out / "config_01_4v2.jsonl").unlink()
+    assert [encode_record(record) for record in iter_corpus(out)] == complete
+    assert len(complete) == 8
+    assert analyze(out).sections["counts"]["games"] == 8
+
+
+def test_a_stopped_rerun_leaves_no_stale_jsonl(tmp_path, monkeypatch):
+    out = run_experiment(tiny_plan(), tmp_path / "corpus")
+    (out / "config_00_3v1" / "game_0001.json").unlink()
+
+    def stop(*job):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(runner, "_run_one", stop)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(tiny_plan(), out)
+    assert sorted(out.glob("config_*.jsonl")) == []
+    assert len(list(iter_corpus(out))) == 7
 
 
 def test_parallel_run_matches_serial(tmp_path):
@@ -705,6 +734,22 @@ def test_cli_replay_reports_index_bounds(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", "utf-8")
     assert cli_main(["replay", "--game", str(empty)]) == 2
+
+
+def test_cli_replay_refuses_a_negative_index(capsys):
+    jsonl = GOLDEN / "corpus" / "config_00_3v1.jsonl"
+    assert cli_main(["replay", "--game", str(jsonl), "--index", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--index -1 is out of range" in captured.err
+
+
+def test_cli_annotate_refuses_zero_runs(tmp_path, capsys):
+    out = tmp_path / "annotations"
+    args = ["annotate", "--corpus", str(GOLDEN / "corpus"), "--backend", "rules", "--out", str(out)]
+    assert cli_main([*args, "--runs", "0"]) == 2
+    assert "--runs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_replay_reads_a_jsonl_with_a_failed_game(tmp_path, capsys):
