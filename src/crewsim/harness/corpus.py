@@ -12,8 +12,8 @@ from crewsim.core.types import GameRecord
 def _iter_texts(corpus_dir: Path) -> Iterator[str]:
     """The JSON text of each stored record, in (config, repetition) order.
 
-    A configuration is read from its JSONL when it has one and from its game
-    files otherwise, as a rerun that stopped before rebuilding it leaves it.
+    A configuration is read from its JSONL when it has one, and from its game
+    files otherwise: a rerun that stops before its rebuild leaves no JSONL.
     """
     names = {path.stem for path in corpus_dir.glob("config_*.jsonl")}
     names.update(path.name for path in corpus_dir.glob("config_*") if path.is_dir())
@@ -25,11 +25,11 @@ def _iter_texts(corpus_dir: Path) -> Iterator[str]:
                     line = line.strip()
                     if line:
                         yield line
-            continue
-        for path in sorted((corpus_dir / name).glob("game_*.json")):
-            text = path.read_text("utf-8").strip()
-            if text:
-                yield text
+        else:
+            for path in sorted((corpus_dir / name).glob("game_*.json")):
+                text = path.read_text("utf-8").strip()
+                if text:
+                    yield text
 
 
 def iter_corpus(corpus_dir: str | Path) -> Iterator[GameRecord]:
