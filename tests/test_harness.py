@@ -19,12 +19,12 @@ from crewsim.annotate.classify import deception_template
 from crewsim.core.serialize import encode_record
 from crewsim.engine import engine
 from crewsim.engine.replay import verify_record
+from crewsim.harness import runner
 from crewsim.harness.analysis import analyze
 from crewsim.harness.annotator import annotate_corpus, collect_items
 from crewsim.harness.cli import main as cli_main
 from crewsim.harness.corpus import count_failures, iter_corpus
 from crewsim.harness.plan import ExperimentPlan, default_plan
-from crewsim.harness import runner
 from crewsim.harness.runner import _run_one, build_roster, run_experiment
 from mockmodels import ContentKeyedModel, game_reply
 
@@ -730,13 +730,11 @@ def test_cli_simulate_annotate_analyze_replay(tmp_path, capsys):
     assert "game over" in out
 
 
-def test_cli_replay_reports_index_bounds(tmp_path):
+def test_cli_replay_reports_index_bounds(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", "utf-8")
     assert cli_main(["replay", "--game", str(empty)]) == 2
-
-
-def test_cli_replay_refuses_a_negative_index(capsys):
+    capsys.readouterr()
     jsonl = GOLDEN / "corpus" / "config_00_3v1.jsonl"
     assert cli_main(["replay", "--game", str(jsonl), "--index", "-1"]) == 2
     captured = capsys.readouterr()
