@@ -30,8 +30,6 @@ from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
-import numpy as np
-
 from crewsim.annotate.labels import UNCLASSIFIABLE, DeceptionLabel, SpeechActLabel
 from crewsim.annotate.runs import load_run
 from crewsim.harness import svg
@@ -290,9 +288,8 @@ class _Analyzer:
         if not kept:
             raise Insufficient("all predictors are constant")
 
-        def design(names: list[str]) -> np.ndarray:
-            columns = [np.asarray(predictors[name], dtype=float) for name in names]
-            return np.column_stack([np.ones(len(rows))] + columns)
+        def design(names: list[str]) -> list[list[float]]:
+            return [[1.0, *values] for values in zip(*(predictors[name] for name in names))]
 
         X = design(kept)
         redundant = collinear_columns(X, ["intercept"] + kept)
@@ -302,7 +299,7 @@ class _Analyzer:
             if not kept:
                 raise Insufficient("no independent predictors remain")
             X = design(kept)
-        fit = logistic_fit(X, np.asarray(y, dtype=float), names=["intercept"] + kept)
+        fit = logistic_fit(X, y, names=["intercept"] + kept)
         return {**fit.to_dict(), "dropped_constant": dropped, "dropped_collinear": redundant, "n": len(rows)}
 
     def _act_two_by_two(self, labeled, split, order: tuple[str, str]) -> dict:

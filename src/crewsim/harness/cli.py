@@ -15,6 +15,7 @@ from crewsim.core.types import GameRecord, player_name
 from crewsim.engine.replay import verify_record
 from crewsim.harness.analysis import analyze
 from crewsim.harness.annotator import annotate_corpus
+from crewsim.harness.corpus import iter_corpus
 from crewsim.harness.plan import ExperimentPlan, default_plan
 from crewsim.harness.runner import run_experiment
 
@@ -23,7 +24,17 @@ def _echo(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _absent(path: Path | None, what: str, exists=Path.is_file) -> bool:
+    """True, after one line on stderr, when ``path`` is given but is not an existing ``what``."""
+    if path is None or exists(path):
+        return False
+    _echo(f"{what} {path} does not exist")
+    return True
+
+
 def cmd_simulate(args) -> int:
+    if _absent(args.plan, "plan file"):
+        return 2
     plan = ExperimentPlan.from_file(args.plan) if args.plan else default_plan()
     out = run_experiment(plan, args.out, workers=args.workers, echo=_echo)
     _echo(f"corpus written to {out}")
@@ -34,14 +45,20 @@ def cmd_annotate(args) -> int:
     if args.runs < 1:
         _echo(f"--runs must be at least 1, got {args.runs}")
         return 2
+    if _absent(args.corpus, "corpus directory", Path.is_dir):
+        return 2
     if args.backend == "rules":
         backend = RuleBackend()
     elif args.backend == "chat":
         if not args.endpoint:
             _echo("--endpoint FILE is required with --backend chat")
             return 2
+        if _absent(args.endpoint, "endpoint file"):
+            return 2
         backend = ChatBackend(ChatEndpointConfig.from_file(args.endpoint))
     else:
+        if _absent(args.replay_speech, "replay file") or _absent(args.replay_deception, "replay file"):
+            return 2
         speech = load_run(args.replay_speech).labels if args.replay_speech else {}
         deception = load_run(args.replay_deception).labels if args.replay_deception else {}
         if not speech and not deception:
@@ -61,6 +78,13 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if _absent(args.corpus, "corpus directory", Path.is_dir):
+        return 2
+    if _absent(args.annotations, "annotations directory", Path.is_dir):
+        return 2
+    if next(iter_corpus(args.corpus), None) is None:
+        _echo(f"corpus directory {args.corpus} holds no game records")
+        return 2
     report = analyze(args.corpus, args.annotations, out_dir=args.out)
     if args.out:
         _echo(f"report written to {args.out}")
@@ -109,6 +133,8 @@ def _print_event(event, names) -> None:
 
 
 def cmd_replay(args) -> int:
+    if _absent(args.game, "game file"):
+        return 2
     lines = args.game.read_text("utf-8").splitlines()
     if not 0 <= args.index < len(lines):
         _echo(f"{args.game} holds {len(lines)} record line(s); --index {args.index} is out of range")

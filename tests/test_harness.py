@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -547,6 +548,37 @@ def test_golden_pipeline_snapshot(part, request):
     assert mismatched == []
 
 
+def test_golden_pipeline_runs_with_numpy_unimportable(tmp_path):
+    """No crewsim module needs numpy, so no report number can come from a BLAS
+    kernel picked per CPU: every module imports and the CLI rebuilds the golden
+    corpus and annotations with numpy blocked."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    plan = Path(__file__).parent / "data" / "golden_plan.json"
+    corpus, annotations, report = (str(tmp_path / part) for part in ("corpus", "annotations", "report"))
+    code = f"""
+import importlib, pkgutil, sys
+sys.modules["numpy"] = None
+sys.path.insert(0, {str(src)!r})
+import crewsim
+for module in pkgutil.walk_packages(crewsim.__path__, "crewsim."):
+    importlib.import_module(module.name)
+from crewsim.harness.cli import main
+for argv in (
+    ["simulate", "--plan", {str(plan)!r}, "--out", {corpus!r}],
+    ["annotate", "--corpus", {corpus!r}, "--backend", "rules", "--runs", "3", "--out", {annotations!r}],
+    ["analyze", "--corpus", {corpus!r}, "--annotations", {annotations!r}, "--out", {report!r}],
+):
+    assert main(argv) == 0, argv
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    for part in ("corpus", "annotations"):
+        fresh, frozen = tree_bytes(tmp_path / part), tree_bytes(GOLDEN / part)
+        assert fresh.keys() == frozen.keys()
+        assert [name for name in frozen if fresh[name] != frozen[name]] == []
+    assert (tmp_path / "report" / "report.json").is_file()
+
+
 def test_every_golden_menu_has_distinct_tags(monkeypatch):
     """Replay finds a logged action by its tag, so no menu may hold two
     actions with one tag."""
@@ -748,6 +780,39 @@ def test_cli_annotate_refuses_zero_runs(tmp_path, capsys):
     assert cli_main([*args, "--runs", "0"]) == 2
     assert "--runs must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+ANNOTATE_GOLDEN = ["annotate", "--corpus", "{golden}", "--out", "{tmp}/out"]
+
+
+@pytest.mark.parametrize(
+    "command, path_name",
+    [
+        pytest.param(["simulate", "--plan", "{path}", "--out", "{tmp}/corpus"], "missing.json", id="simulate-plan"),
+        pytest.param(["annotate", "--corpus", "{path}", "--backend", "rules"], "missing", id="annotate-corpus"),
+        pytest.param(
+            [*ANNOTATE_GOLDEN, "--backend", "chat", "--endpoint", "{path}"], "missing.json", id="annotate-endpoint"
+        ),
+        pytest.param(
+            [*ANNOTATE_GOLDEN, "--backend", "replay", "--replay-speech", "{path}"], "missing.jsonl", id="annotate-replay"
+        ),
+        pytest.param(["analyze", "--corpus", "{path}", "--out", "{tmp}/out"], "missing", id="analyze-corpus"),
+        pytest.param(["analyze", "--corpus", "{path}", "--out", "{tmp}/out"], "empty", id="analyze-empty-corpus"),
+        pytest.param(
+            ["analyze", "--corpus", "{golden}", "--annotations", "{path}"], "missing", id="analyze-annotations"
+        ),
+        pytest.param(["replay", "--game", "{path}"], "missing.jsonl", id="replay-game"),
+    ],
+)
+def test_cli_refuses_a_missing_path_in_one_line(command, path_name, tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    path = tmp_path / path_name
+    argv = [arg.format(path=path, tmp=tmp_path, golden=GOLDEN / "corpus") for arg in command]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(path) in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty"]
 
 
 def test_cli_replay_reads_a_jsonl_with_a_failed_game(tmp_path, capsys):

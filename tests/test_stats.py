@@ -19,6 +19,7 @@ from crewsim.stats import (
     spearman,
     two_prop_z,
 )
+from crewsim.stats.logistic import collinear_columns
 from crewsim.stats.rank import rank_data
 
 # ---- ecdf ----
@@ -130,6 +131,89 @@ def test_logistic_fit_names_collinear_columns():
     y = np.array([0, 1] * 6, dtype=float)
     with pytest.raises(ValueError, match="x2"):
         logistic_fit(X, y)
+
+
+# The numpy IRLS and prefix-rank rule that the plain-float fit replaced, kept
+# as its reference: BLAS may sum in another order, so they agree to a
+# tolerance, not bit for bit.
+
+
+def _numpy_sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    expz = np.exp(z[~pos])
+    out[~pos] = expz / (1.0 + expz)
+    return out
+
+
+def _numpy_fit(X: np.ndarray, y: np.ndarray, max_iter: int = 100, tol: float = 1e-8):
+    """beta, standard errors and log-likelihood of the numpy IRLS."""
+    beta = np.zeros(X.shape[1])
+    for _ in range(max_iter):
+        p = _numpy_sigmoid(X @ beta)
+        score = X.T @ (y - p)
+        if np.max(np.abs(score)) < tol:
+            break
+        w = np.clip(p * (1.0 - p), 1e-12, None)
+        beta = beta + np.linalg.solve((X * w[:, None]).T @ X, score)
+    p = _numpy_sigmoid(X @ beta)
+    w = np.clip(p * (1.0 - p), 1e-12, None)
+    se = np.sqrt(np.clip(np.diag(np.linalg.inv((X * w[:, None]).T @ X)), 0.0, None))
+    q = np.clip(p, 1e-300, 1.0 - 1e-16)
+    return beta, se, float(np.sum(y * np.log(q) + (1.0 - y) * np.log1p(-q)))
+
+
+def _numpy_collinear(X: np.ndarray, names: list[str]) -> list[str]:
+    bad, rank = [], 0
+    for j in range(X.shape[1]):
+        new_rank = np.linalg.matrix_rank(X[:, : j + 1])
+        if new_rank == rank:
+            bad.append(names[j])
+        rank = new_rank
+    return bad
+
+
+@pytest.mark.parametrize(
+    "n, k, seed",
+    [(20, 2, 1), (40, 3, 2), (90, 4, 3), (250, 5, 4), (600, 6, 5), (1100, 7, 6), (1100, 2, 7), (80, 7, 8)],
+)
+def test_logistic_fit_matches_numpy_reference(n, k, seed):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 6, size=(n, (k - 1) // 2)).astype(float)
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1 - counts.shape[1])), counts])
+    logits = X @ rng.uniform(-0.5, 0.5, size=k)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logits))).astype(float)
+    fit = logistic_fit(X if seed % 2 else X.tolist(), y)
+    beta, se, ll = _numpy_fit(X, y)
+    assert fit.converged
+    assert fit.beta == pytest.approx(beta.tolist(), rel=1e-9)
+    assert fit.se == pytest.approx(se.tolist(), rel=1e-9)
+    assert fit.log_likelihood == pytest.approx(ll, rel=1e-9)
+
+
+PLANTED = {
+    "multiple": lambda one, a, b, c: [one, a, -2.5 * a, b],
+    "sum": lambda one, a, b, c: [one, a, b, a + b, c],
+    "constant": lambda one, a, b, c: [one, a, 3.0 * one, b],
+    "count_complement": lambda one, a, b, c: [one, b, 4.0 - b, c],
+    "several": lambda one, a, b, c: [one, a, b, a - 0.3 * b, 7.0 * one, c, 2.0 * c + b],
+    "zero_column": lambda one, a, b, c: [a, 0.0 * a, b, one],
+}
+
+
+@pytest.mark.parametrize("n", [20, 1100])
+@pytest.mark.parametrize("design", sorted(PLANTED))
+def test_collinear_columns_matches_numpy_reference(design, n):
+    rng = np.random.default_rng(n)
+    a, c = rng.normal(size=(2, n))
+    b = rng.integers(0, 5, size=n).astype(float)
+    X = np.column_stack(PLANTED[design](np.ones(n), a, b, c))
+    names = [f"x{j}" for j in range(X.shape[1])]
+    expected = _numpy_collinear(X, names)
+    assert expected
+    assert collinear_columns(X, names) == expected
+    assert collinear_columns(X.tolist(), names) == expected
 
 
 # ---- chi-squared ----
