@@ -6,7 +6,9 @@ accuser script (crew: accuse a seeded suspect, vote the most-accused player)
 or a defender script (impostor: deflect, vote a seeded crewmate).
 
 Everything is a pure function of (observation sequence, seed), so identical
-games replay byte-identically.
+games replay byte-identically. The name scans behind accusations are memoized
+per (names, text) in a bounded cache; the scan is a pure function of its key,
+so a cached answer is the answer, and replay stays exact.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ def _name_pattern(names: tuple[str, ...]) -> re.Pattern:
     return re.compile(r"\b(?:" + "|".join(map(re.escape, names)) + r")\b")
 
 
-def _mentioned(names: tuple[str, ...], text: str) -> set[str]:
+@functools.lru_cache(maxsize=4096)
+def _mentioned(names: tuple[str, ...], text: str) -> frozenset[str]:
     """The names in ``names`` that ``text`` mentions as whole words."""
     if not names:
-        return set()
-    return {match.group() for match in _name_pattern(names).finditer(text)}
+        return frozenset()
+    return frozenset(match.group() for match in _name_pattern(names).finditer(text))
 
 
 def _accused_me(obs: Observation) -> bool:

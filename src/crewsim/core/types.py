@@ -6,6 +6,7 @@ game owns exclusively; nothing is shared mutably between games.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from collections import deque
@@ -51,6 +52,10 @@ class ActionKind(str, Enum):
     VOTE = "vote"
 
 
+# One bounded cache per factory: a ballot's target comes from an agent.
+_interned = functools.lru_cache(maxsize=256, typed=True)
+
+
 @dataclass(frozen=True)
 class Action:
     """One entry of the discrete action menu.
@@ -58,6 +63,13 @@ class Action:
     ``tag`` is the canonical wire syntax shown in prompts and logged in events
     ("MOVE Storage", "VOTE SKIP", ...). Agents are matched against tags, so the
     rendering must stay stable.
+
+    The factories whose arguments range over a game's rooms, task indices and
+    player ids return interned values: ``Action.move("Storage") is
+    Action.move("Storage")``. Each is ``==`` to, and hashes like, the value
+    built directly. Their caches are bounded and keyed by argument type, so
+    ``vote(1)`` and ``vote(True)`` stay apart. ``speak`` is not interned, since
+    its text is unbounded.
     """
 
     kind: ActionKind
@@ -67,26 +79,32 @@ class Action:
     text: str | None = None
 
     @classmethod
+    @_interned
     def move(cls, room: str) -> Action:
         return cls(ActionKind.MOVE, room=room)
 
     @classmethod
+    @_interned
     def complete_task(cls, task_index: int) -> Action:
         return cls(ActionKind.COMPLETE_TASK, task_index=task_index)
 
     @classmethod
+    @_interned
     def kill(cls, target: int) -> Action:
         return cls(ActionKind.KILL, target=target)
 
     @classmethod
+    @_interned
     def vent(cls, room: str) -> Action:
         return cls(ActionKind.VENT, room=room)
 
     @classmethod
+    @_interned
     def report_body(cls) -> Action:
         return cls(ActionKind.REPORT_BODY)
 
     @classmethod
+    @_interned
     def call_meeting(cls) -> Action:
         return cls(ActionKind.CALL_MEETING)
 
@@ -95,6 +113,7 @@ class Action:
         return cls(ActionKind.SPEAK, text=text)
 
     @classmethod
+    @_interned
     def vote(cls, target: int | None) -> Action:
         return cls(ActionKind.VOTE, target=target)
 
@@ -381,11 +400,24 @@ class MeetingCause:
 
 @dataclass
 class MeetingState:
+    """One meeting in progress.
+
+    The parts every observation of the meeting shows are kept here once:
+    ``attendees`` and ``cause_text`` do not change while the meeting runs, and
+    ``transcript`` is an immutable tuple replaced by a longer one per
+    utterance, so each observation can hold the tuple it was given.
+    """
+
     cause: MeetingCause
     index: int
+    attendees: tuple[tuple[int, str], ...]  # (player id, name), alive when it was called
     discussion_round: int = 0  # completed rounds, 0..k
-    transcript: list[tuple[str, str]] = field(default_factory=list)  # (speaker name, text)
+    transcript: tuple[tuple[str, str], ...] = ()  # (speaker name, text)
     votes: dict[int, int | None] = field(default_factory=dict)
+    cause_text: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.cause_text = self.cause.describe()
 
 
 @dataclass(frozen=True)

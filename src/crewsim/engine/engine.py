@@ -11,7 +11,11 @@ Agents are duck-typed; the engine calls three methods:
 - ``vote(observation) -> int | None`` (vote phase; None = Skip)
 
 Every call goes through one path, ``_consult``, which builds the observation,
-calls the method and logs a failure. A policy may also expose a
+calls the method and logs a failure. A turn's legal menu is computed once, for
+the observation, and the action the agent picks is checked against that same
+menu when it is applied: no agent call changes the state, so the menu is still
+the state's menu then. A direct call of ``apply_action`` without a menu still
+computes and checks the full menu. A policy may also expose a
 ``last_exchange`` dict (``{"prompt": ..., "raw": ...}``) after each call; the
 engine copies it into the event log, so chat-backed games record the exchange
 of every ``decide`` and ``speak``. Ballot exchanges are not logged, and a
@@ -23,6 +27,7 @@ from __future__ import annotations
 import logging
 import random
 from collections import Counter
+from collections.abc import Sequence
 
 from crewsim.core.types import (
     PHASE_FINISHED,
@@ -165,21 +170,24 @@ def legal_actions(state: GameState, player_id: int) -> list[Action]:
     return actions
 
 
-def _is_legal(state: GameState, player_id: int, action: Action) -> bool:
-    menu = legal_actions(state, player_id)
+def _is_legal(menu: Sequence[Action], action: Action) -> bool:
     if action.kind is ActionKind.SPEAK:
         return any(a.kind is ActionKind.SPEAK for a in menu)
     return action in menu
 
 
-def apply_action(state: GameState, player_id: int, action: Action):
+def apply_action(state: GameState, player_id: int, action: Action, menu: Sequence[Action] | None = None):
     """Apply one legal action; returns ``(state, new_events)``.
 
     Raises ``IllegalActionError`` (state untouched) when the action is not in
-    ``legal_actions``. Win conditions are re-checked immediately, so a kill
-    that creates parity finishes the game before anyone else acts.
+    ``legal_actions``. ``menu``, when given, is that menu for the current
+    state, as the turn's observation holds it; without it the menu is
+    computed here. Win conditions are re-checked immediately, so a kill that
+    creates parity finishes the game before anyone else acts.
     """
-    if not _is_legal(state, player_id, action):
+    if menu is None:
+        menu = legal_actions(state, player_id)
+    if not _is_legal(menu, action):
         raise IllegalActionError(f"player {player_id}: {action.tag!r} not in legal menu")
 
     player = state.player(player_id)
@@ -232,7 +240,7 @@ def _record_utterance(state: GameState, player_id: int, text: str) -> None:
     meeting = state.meeting
     player = state.player(player_id)
     text = text.strip()
-    meeting.transcript.append((player.name, text))
+    meeting.transcript += ((player.name, text),)
     state.append_event(
         "utterance",
         {
@@ -249,7 +257,11 @@ def _record_utterance(state: GameState, player_id: int, text: str) -> None:
 
 def _start_meeting(state: GameState, cause: MeetingCause) -> None:
     state.phase = PHASE_MEETING
-    meeting = MeetingState(cause=cause, index=len(state.meeting_rounds))
+    meeting = MeetingState(
+        cause=cause,
+        index=len(state.meeting_rounds),
+        attendees=tuple((p.id, p.name) for p in state.alive_players()),
+    )
     state.meeting = meeting
     state.meeting_rounds.append(state.round)
     state.append_event(
@@ -261,7 +273,7 @@ def _start_meeting(state: GameState, cause: MeetingCause) -> None:
             "victim": cause.victim,
         },
     )
-    state.announce(cause.describe())
+    state.announce(meeting.cause_text)
 
 
 def _check_win(state: GameState) -> Outcome | None:
@@ -341,11 +353,11 @@ def build_observation(state: GameState, player_id: int) -> Observation:
         stage = "discussion" if meeting.discussion_round < state.config.discussion_rounds else "vote"
         meeting_ctx = MeetingContext(
             index=meeting.index,
-            cause=meeting.cause.describe(),
+            cause=meeting.cause_text,
             stage=stage,
             discussion_round=meeting.discussion_round,
-            attendees=tuple((p.id, p.name) for p in state.alive_players()),
-            transcript=tuple(meeting.transcript),
+            attendees=meeting.attendees,
+            transcript=meeting.transcript,
         )
 
     return Observation(
@@ -383,21 +395,23 @@ def _consult(state: GameState, agents: dict, pid: int, method: str):
     """Ask player ``pid``'s agent for a decision through ``method``
     (``"decide"``, ``"speak"`` or ``"vote"``) on a fresh observation.
 
-    Returns ``(reply, exchange, error)``: the agent's reply, the exchange
-    fields to log, and the failure text or None. A failed call is logged and
-    has no reply and no exchange.
+    Returns ``(menu, reply, exchange, error)``: the legal menu the agent was
+    shown, to hand to ``apply_action``; the agent's reply; the exchange fields
+    to log; and the failure text or None. A failed call is logged and has no
+    reply and no exchange.
     """
     observation = build_observation(state, pid)
+    menu = observation.legal_actions
     agent = agents[pid]
     try:
         reply = getattr(agent, method)(observation)
     except Exception as exc:  # noqa: BLE001 - agent failures must not kill the game
         logger.warning("game %s: agent %d failed to %s: %s", state.game_id, pid, method, exc)
-        return None, {}, str(exc)
+        return menu, None, {}, str(exc)
     exchange = getattr(agent, "last_exchange", None)
     if not isinstance(exchange, dict):
         exchange = {}
-    return reply, {k: v for k, v in exchange.items() if k in EXCHANGE_FIELDS}, None
+    return menu, reply, {k: v for k, v in exchange.items() if k in EXCHANGE_FIELDS}, None
 
 
 def run_task_phase(state: GameState, agents: dict) -> GameState:
@@ -415,7 +429,7 @@ def run_task_phase(state: GameState, agents: dict) -> GameState:
     for pid in _seated(state):
         if state.phase != PHASE_TASK:
             break
-        response, exchange, error = _consult(state, agents, pid, "decide")
+        menu, response, exchange, error = _consult(state, agents, pid, "decide")
         if error is not None:
             state.append_event("no_op", {"player": pid, "reason": "agent_error", "detail": error})
             continue
@@ -433,7 +447,7 @@ def run_task_phase(state: GameState, agents: dict) -> GameState:
             },
         )
         try:
-            apply_action(state, pid, response.action)
+            apply_action(state, pid, response.action, menu)
         except IllegalActionError as exc:
             state.append_event("no_op", {"player": pid, "reason": "illegal", "detail": str(exc)})
     return state
@@ -450,19 +464,19 @@ def run_meeting(state: GameState, agents: dict) -> tuple[GameState, MeetingState
     k = state.config.discussion_rounds
     for _ in range(k):
         for pid in _seated(state):
-            text, exchange, _ = _consult(state, agents, pid, "speak")
-            apply_action(state, pid, Action.speak(text or ""))
+            menu, text, exchange, _ = _consult(state, agents, pid, "speak")
+            apply_action(state, pid, Action.speak(text or ""), menu)
             state.events[-1].data.update(exchange)
         meeting.discussion_round += 1
 
     for pid in _seated(state):
-        target, _, _ = _consult(state, agents, pid, "vote")  # ballot exchanges are not logged
+        menu, target, _, _ = _consult(state, agents, pid, "vote")  # ballot exchanges are not logged
         ballot = Action.vote(target)
         try:
-            apply_action(state, pid, ballot)
+            apply_action(state, pid, ballot, menu)
         except IllegalActionError:
             state.append_event("no_op", {"player": pid, "reason": "illegal_vote", "detail": ballot.tag})
-            apply_action(state, pid, Action.vote(None))
+            apply_action(state, pid, Action.vote(None), menu)
 
     ejected = tally_votes(meeting.votes)
     state.append_event(

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from crewsim.core.serialize import decode_record, default_map, encode_record, load_map, save_map
 from crewsim.core.types import (
+    Action,
+    ActionKind,
     GameConfig,
     MapSpec,
     UtteranceRecord,
@@ -39,6 +41,35 @@ def test_violations_name_field_and_rule():
     issues = validate_config(GameConfig(num_crew=3, num_impostors=1, tasks_per_crew=0, seed=2**64))
     fields = {i.field for i in issues if i.severity == "violation"}
     assert fields == {"tasks_per_crew", "seed"}
+
+
+# ---- actions ----
+
+
+def test_bounded_action_factories_return_interned_values():
+    assert Action.move("Storage") is Action.move("Storage")
+    assert Action.vote(None) is Action.vote(None)
+    assert Action.kill(1) is Action.kill(1)
+    cases = [
+        (Action.move("Storage"), Action(ActionKind.MOVE, room="Storage"), "MOVE Storage"),
+        (Action.complete_task(2), Action(ActionKind.COMPLETE_TASK, task_index=2), "COMPLETE TASK 2"),
+        (Action.kill(1), Action(ActionKind.KILL, target=1), "KILL Blue"),
+        (Action.vent("Admin"), Action(ActionKind.VENT, room="Admin"), "VENT Admin"),
+        (Action.report_body(), Action(ActionKind.REPORT_BODY), "REPORT BODY"),
+        (Action.call_meeting(), Action(ActionKind.CALL_MEETING), "CALL MEETING"),
+        (Action.vote(None), Action(ActionKind.VOTE), "VOTE SKIP"),
+        (Action.vote(0), Action(ActionKind.VOTE, target=0), "VOTE Red"),
+    ]
+    for interned, built, tag in cases:
+        assert interned == built and hash(interned) == hash(built)
+        assert interned.tag == built.tag == tag
+    assert Action.vote(True).target is True  # not the interned vote(1)
+
+
+def test_speak_is_not_interned():
+    assert Action.speak("Red vented") is not Action.speak("Red vented")
+    assert Action.speak() is not Action.speak()
+    assert Action.speak("Red vented") == Action(ActionKind.SPEAK, text="Red vented")
 
 
 # ---- word counting ----

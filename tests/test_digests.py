@@ -21,6 +21,7 @@ from crewsim.agents.scripted import (
 from crewsim.core.serialize import encode_record
 from crewsim.core.types import GameConfig
 from crewsim.engine.engine import assign_roles, run_game
+from crewsim.engine.replay import verify_record
 from mockmodels import game_reply
 
 SHAPES = ((3, 1), (4, 2), (6, 1))
@@ -41,7 +42,7 @@ def _line(text: str) -> bytes:
 
 def test_scripted_record_matrix_digest():
     """6 policy pairs x 3 shapes x discussion_rounds {1, 3} x kill_cooldown
-    {0, 3} x 2 seeds: 144 games."""
+    {0, 3} x 2 seeds: 144 games, each of which replays exactly."""
     digest = hashlib.sha256()
     grid = itertools.product(
         SCRIPTED_CREW_POLICIES, SCRIPTED_IMPOSTOR_POLICIES, SHAPES, (1, 3), (0, 3), (7, 8)
@@ -51,8 +52,9 @@ def test_scripted_record_matrix_digest():
         config = GameConfig(
             num_crew, num_impostors, discussion_rounds=rounds, kill_cooldown=cooldown, seed=seed
         )
-        roster = make_scripted_roster(config, crew=crew, impostor=impostor)
-        digest.update(_line(encode_record(run_game(config, roster))))
+        record = run_game(config, make_scripted_roster(config, crew=crew, impostor=impostor))
+        digest.update(_line(encode_record(record)))
+        assert verify_record(record) == [], (crew, impostor, num_crew, num_impostors, rounds, cooldown, seed)
         games += 1
     assert games == 144
     assert digest.hexdigest() == SCRIPTED_MATRIX_SHA256

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,9 @@ from crewsim.core.types import (
     GameConfig,
     Outcome,
     Role,
+    player_name,
 )
+from crewsim.engine import engine
 from crewsim.engine.engine import (
     ConfigError,
     IllegalActionError,
@@ -655,6 +658,64 @@ def test_rewritten_turn_bookkeeping_is_not_reported():
     turn = next(e for e in record.events if e.kind == "turn")
     turn.data["thinking"] = "rewritten after the game"
     assert verify_record(record) == []
+
+
+def test_one_legal_menu_per_observation(monkeypatch):
+    """The menu a turn's observation shows is the menu ``apply_action``
+    checks, so a game computes one menu per observation and none per action."""
+    calls = Counter()
+    for name in ("legal_actions", "build_observation", "apply_action"):
+
+        def counting(*args, _name=name, _original=getattr(engine, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counting)
+    cfg = GameConfig(4, 2, seed=10)
+    record = run_game(cfg, make_scripted_roster(cfg, "random_walker", "hunter"))
+    assert record.meeting_rounds and calls["apply_action"] > 0
+    assert calls["legal_actions"] == calls["build_observation"]
+
+
+class KeepsMeetingObservations:
+    """Plays a scripted policy and keeps every meeting observation it gets."""
+
+    def __init__(self, policy, kept: list):
+        self.policy, self.kept = policy, kept
+
+    def decide(self, obs):
+        return self.policy.decide(obs)
+
+    def speak(self, obs):
+        self.kept.append(("speak", obs))
+        return self.policy.speak(obs)
+
+    def vote(self, obs):
+        self.kept.append(("vote", obs))
+        return self.policy.vote(obs)
+
+
+def test_kept_meeting_observations_still_hold_their_own_transcript():
+    """Observations share the meeting's transcript tuple; one kept until the
+    game ends must still hold only the utterances made before it was built."""
+    cfg = GameConfig(4, 2, seed=10, discussion_rounds=3)
+    kept = []
+    roster = [KeepsMeetingObservations(p, kept) for p in make_scripted_roster(cfg, "random_walker", "hunter")]
+    record = run_game(cfg, roster)
+    said = defaultdict(list)
+    for e in record.events:
+        if e.kind == "utterance":
+            said[e.data["meeting_index"]].append((player_name(e.data["speaker_id"]), e.data["text"]))
+    assert len(said) >= 2
+    spoken = Counter()
+    for method, obs in kept:
+        index = obs.meeting.index
+        if method == "speak":
+            assert obs.meeting.transcript == tuple(said[index][: spoken[index]])
+            spoken[index] += 1
+        else:
+            assert obs.meeting.transcript == tuple(said[index])
+    assert sum(spoken.values()) == sum(map(len, said.values()))
 
 
 def test_observation_restricts_visibility():
