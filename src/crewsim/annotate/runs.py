@@ -3,7 +3,8 @@
 A run file starts with one metadata line, then one ``{"key", "label"}`` line
 per classified utterance, append-friendly so interrupted runs can resume. A
 crash mid-append can tear the last line; loading drops it, and resume cuts
-it from the file and labels that utterance again.
+it from the file and labels that utterance again. Loading decodes the whole
+file as one JSON array, and goes line by line only when that fails.
 """
 
 from __future__ import annotations
@@ -43,13 +44,20 @@ def save_run(run: AnnotationRun, path: str | Path) -> None:
 def load_run(path: str | Path) -> AnnotationRun:
     with open(path, encoding="utf-8") as fh:
         lines = [line for line in (ln.strip() for ln in fh) if line]
-    records = []
-    for number, line in enumerate(lines, 1):
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if number < len(lines):  # only the last line can be torn by a crash
-                raise
+    try:
+        # Each line holds one JSON object, so the lines joined by commas are
+        # one array of those objects: one decode instead of one per line.
+        records = json.loads("[" + ",".join(lines) + "]")
+    except json.JSONDecodeError:
+        records = []
+    if len(records) != len(lines):  # a torn or malformed line: decode line by line
+        records = []
+        for number, line in enumerate(lines, 1):
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError:
+                if number < len(lines):  # only the last line can be torn by a crash
+                    raise
     if not records:
         raise ValueError(f"empty annotation run file: {path}")
     meta = records[0]

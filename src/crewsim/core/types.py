@@ -31,6 +31,11 @@ def player_name(player_id: int) -> str:
     return f"P{player_id}"
 
 
+def utterance_key(game_id: str, meeting_index: int, discussion_round: int, speaker_id: int) -> str:
+    """The key that names one discussion slot in annotation runs and the analysis."""
+    return f"{game_id}|{meeting_index}|{discussion_round}|{speaker_id}"
+
+
 def word_count(text: str) -> int:
     """Number of maximal whitespace-separated tokens in ``text``."""
     return len(text.split())
@@ -383,7 +388,7 @@ class UtteranceRecord:
 
     @property
     def key(self) -> str:
-        return f"{self.game_id}|{self.meeting_index}|{self.discussion_round}|{self.speaker_id}"
+        return utterance_key(self.game_id, self.meeting_index, self.discussion_round, self.speaker_id)
 
 
 @dataclass(frozen=True)

@@ -471,12 +471,17 @@ def run_meeting(state: GameState, agents: dict) -> tuple[GameState, MeetingState
 
     for pid in _seated(state):
         menu, target, _, _ = _consult(state, agents, pid, "vote")  # ballot exchanges are not logged
-        ballot = Action.vote(target)
-        try:
-            apply_action(state, pid, ballot, menu)
-        except IllegalActionError:
-            state.append_event("no_op", {"player": pid, "reason": "illegal_vote", "detail": ballot.tag})
-            apply_action(state, pid, Action.vote(None), menu)
+        if target is None or isinstance(target, int):
+            ballot = Action.vote(target)
+            try:
+                apply_action(state, pid, ballot, menu)
+                continue
+            except IllegalActionError:
+                detail = ballot.tag
+        else:
+            detail = repr(target)  # no player id, so no VOTE action can carry it
+        state.append_event("no_op", {"player": pid, "reason": "illegal_vote", "detail": detail})
+        apply_action(state, pid, Action.vote(None), menu)
 
     ejected = tally_votes(meeting.votes)
     state.append_event(

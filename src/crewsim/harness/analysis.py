@@ -32,8 +32,10 @@ from pathlib import Path
 
 from crewsim.annotate.labels import UNCLASSIFIABLE, DeceptionLabel, SpeechActLabel
 from crewsim.annotate.runs import load_run
+from crewsim.core.types import GameConfig, Outcome, Role, utterance_key
 from crewsim.harness import svg
-from crewsim.harness.corpus import count_failures, iter_corpus
+# bench/tracing.py patches iter_corpus on this module by name.
+from crewsim.harness.corpus import _iter_dicts, iter_corpus  # noqa: F401
 from crewsim.stats import (
     Ecdf,
     chi_squared,
@@ -115,50 +117,74 @@ class AnalysisReport:
 
 
 def _load_corpus(corpus_dir: Path):
+    """Read the corpus in one pass: the games, every utterance slot, the
+    meetings that ejected someone, the meeting and ejection rounds per
+    configuration label, and the number of failed-game placeholders.
+
+    Records are read as decoded JSON objects, of whose events only utterances
+    and ejections are looked at. Each record's config and outcome are still
+    decoded and each speaker role still passes through ``Role``, so a
+    malformed record fails here and ``GameConfig.label`` stays the one label
+    rule.
+    """
     games: list[_Game] = []
     utterances: list[_Utt] = []
     ejected_meetings: set[tuple[str, int]] = set()
     meeting_rounds_by_label: dict[str, list[int]] = {}
     ejection_rounds_by_label: dict[str, list[int]] = {}
-    for record in iter_corpus(corpus_dir):
+    failures = 0
+    for data in _iter_dicts(corpus_dir):
+        if data.get("failed"):
+            failures += 1
+            continue
+        game_id = data["game_id"]
+        config = GameConfig.from_dict(data["config"])
+        outcome = Outcome.from_dict(data["outcome"])
+        events = data["events"]
         words = spoken = opportunities = 0
-        for utt in record.utterances():
-            opportunities += 1
-            if not utt.abstained:
-                spoken += 1
-                words += utt.word_count
-            utterances.append(
-                _Utt(
-                    key=utt.key,
-                    game_id=record.game_id,
-                    role=utt.speaker_role.value,
-                    meeting_index=utt.meeting_index,
-                    abstained=utt.abstained,
+        for event in events:
+            kind = event["kind"]
+            if kind == "utterance":
+                utt = event["data"]
+                opportunities += 1
+                abstained = utt["text"] == ""
+                if not abstained:
+                    spoken += 1
+                    words += utt["word_count"]
+                utterances.append(
+                    _Utt(
+                        key=utterance_key(
+                            utt["game_id"], utt["meeting_index"], utt["discussion_round"], utt["speaker_id"]
+                        ),
+                        game_id=game_id,
+                        role=Role(utt["speaker_role"]).value,
+                        meeting_index=utt["meeting_index"],
+                        abstained=abstained,
+                    )
                 )
-            )
-        for event in record.events:
-            if event.kind == "ejection":
-                ejected_meetings.add((record.game_id, event.data["meeting_index"]))
-        label = record.config.label()
-        meeting_rounds_by_label.setdefault(label, []).extend(record.meeting_rounds)
-        ejection_rounds_by_label.setdefault(label, []).extend(record.ejection_rounds)
+            elif kind == "ejection":
+                ejected_meetings.add((game_id, event["data"]["meeting_index"]))
+        label = config.label()
+        meeting_rounds, ejection_rounds = data["meeting_rounds"], data["ejection_rounds"]
+        meeting_rounds_by_label.setdefault(label, []).extend(meeting_rounds)
+        ejection_rounds_by_label.setdefault(label, []).extend(ejection_rounds)
         games.append(
             _Game(
-                game_id=record.game_id,
+                game_id=game_id,
                 label=label,
-                num_crew=record.config.num_crew,
-                num_impostors=record.config.num_impostors,
-                winner=record.outcome.winner,
-                reason=record.outcome.reason,
-                end_round=record.events[-1].round if record.events else 0,
-                num_discussions=record.num_discussions,
-                num_ejects=record.num_ejections,
+                num_crew=config.num_crew,
+                num_impostors=config.num_impostors,
+                winner=outcome.winner,
+                reason=outcome.reason,
+                end_round=events[-1]["round"] if events else 0,
+                num_discussions=len(meeting_rounds),
+                num_ejects=len(ejection_rounds),
                 words=words,
                 n_spoken=spoken,
                 n_opportunities=opportunities,
             )
         )
-    return games, utterances, ejected_meetings, meeting_rounds_by_label, ejection_rounds_by_label
+    return games, utterances, ejected_meetings, meeting_rounds_by_label, ejection_rounds_by_label, failures
 
 
 def _load_labels(annotations_dir: Path | None, task: str) -> dict[str, str] | None:
@@ -246,8 +272,8 @@ class _Analyzer:
             self.ejected_meetings,
             self.meeting_rounds,
             self.ejection_rounds,
+            self.failures,
         ) = _load_corpus(corpus_dir)
-        self.failures = count_failures(corpus_dir)
         self.completed = [g for g in self.games if g.completed]
         self.outcome_by_game = {g.game_id: g.winner for g in self.games}
         self.labels = {task: _load_labels(annotations_dir, task) for task in TASK_LABELS}

@@ -25,8 +25,9 @@ from crewsim.annotate.classify import classify_deception, classify_speech_act
 from crewsim.annotate.labels import UNCLASSIFIABLE
 from crewsim.annotate.reliability import stability
 from crewsim.annotate.runs import AnnotationRun, label_line, load_run
-from crewsim.core.types import UtteranceRecord, player_name
-from crewsim.harness.corpus import iter_corpus
+from crewsim.core.types import GameConfig, Role, player_name, utterance_key
+# bench/tracing.py patches iter_corpus on this module by name.
+from crewsim.harness.corpus import _iter_dicts, iter_corpus  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -47,26 +48,36 @@ def collect_items(corpus_dir: str | Path, discussion_window: str = "meeting") ->
     "meeting" (default) supplies the transcript of the utterance's own
     meeting, which is what precedes that meeting's vote; "game" supplies
     every meeting transcript of the game up to and including that one.
+
+    Records are read as decoded JSON objects, of whose events only utterances
+    are looked at. Each record's config is still decoded and each speaker
+    role still passes through ``Role``, so a malformed record fails here as
+    it does in the analysis.
     """
     if discussion_window not in ("meeting", "game"):
         raise ValueError(f"discussion_window must be 'meeting' or 'game', got {discussion_window!r}")
     items: list[_Item] = []
-    for record in iter_corpus(corpus_dir):
-        meetings: dict[int, list[UtteranceRecord]] = {}
-        for utt in record.utterances():
-            meetings.setdefault(utt.meeting_index, []).append(utt)
+    for data in _iter_dicts(corpus_dir):
+        if data.get("failed"):
+            continue
+        GameConfig.from_dict(data["config"])
+        meetings: dict[int, list[dict]] = {}
+        for event in data["events"]:
+            if event["kind"] == "utterance":
+                utt = event["data"]
+                Role(utt["speaker_role"])
+                meetings.setdefault(utt["meeting_index"], []).append(utt)
         history: list[str] = []
         for meeting_index in sorted(meetings):
-            transcript = meetings[meeting_index]
-            spoken = [
-                f"{player_name(u.speaker_id)}: {u.text}" for u in transcript if not u.abstained
-            ]
-            history.extend(spoken)
-            lines = spoken if discussion_window == "meeting" else list(history)
-            discussion = "\n".join(lines)
-            for utt in transcript:
-                if not utt.abstained:
-                    items.append(_Item(key=utt.key, text=utt.text, discussion=discussion))
+            spoken = [utt for utt in meetings[meeting_index] if utt["text"] != ""]
+            lines = [f"{player_name(utt['speaker_id'])}: {utt['text']}" for utt in spoken]
+            history.extend(lines)
+            discussion = "\n".join(lines if discussion_window == "meeting" else history)
+            for utt in spoken:
+                key = utterance_key(
+                    utt["game_id"], utt["meeting_index"], utt["discussion_round"], utt["speaker_id"]
+                )
+                items.append(_Item(key=key, text=utt["text"], discussion=discussion))
     return items
 
 

@@ -1,4 +1,13 @@
-"""Reading simulation corpora written by the experiment runner."""
+"""Reading simulation corpora written by the experiment runner.
+
+``_iter_dicts`` yields each stored record as its decoded JSON object, in
+(config, repetition) order, failed-game placeholders included.
+``iter_corpus`` turns those objects into ``GameRecord``s, for callers that
+need the whole log (replay and its checks). The analysis and the annotator
+read the decoded objects directly: they use only a record's config, outcome,
+round lists and its utterance and ejection events, so they build no
+``Event`` per logged step.
+"""
 
 from __future__ import annotations
 
@@ -32,14 +41,20 @@ def _iter_texts(corpus_dir: Path) -> Iterator[str]:
                     yield text
 
 
+def _iter_dicts(corpus_dir: str | Path) -> Iterator[dict]:
+    """Each stored record as its decoded JSON object, in (config, repetition)
+    order; a failed-game placeholder is an object whose ``failed`` is true."""
+    for text in _iter_texts(Path(corpus_dir)):
+        yield json.loads(text)
+
+
 def iter_corpus(corpus_dir: str | Path) -> Iterator[GameRecord]:
     """Yield game records in deterministic (config, repetition) order.
 
     Failed-game placeholder lines are skipped; count them separately with
     ``count_failures`` when reconciling totals.
     """
-    for text in _iter_texts(Path(corpus_dir)):
-        data = json.loads(text)
+    for data in _iter_dicts(corpus_dir):
         if not data.get("failed"):
             yield GameRecord.from_dict(data)
 

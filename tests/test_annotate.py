@@ -371,6 +371,31 @@ def test_load_run_drops_torn_final_line(tmp_path):
     assert load_run(path).labels == {"k1": "Directives"}
 
 
+def test_load_run_reads_escaped_and_non_ascii_labels_alike_on_both_paths(tmp_path):
+    """A whole file decodes as one JSON array; a torn last line sends the
+    same lines through the per-line loop. Both give the labels each line
+    decodes to on its own."""
+    labels = {
+        'c00-3v1-r0000|0|1|2 "quoted"': 'say "hi"',
+        "back\\slash|\\": "\\",
+        "pipe|in|key": "a|b",
+        "café-会议-\U0001f600": "Représentatives",
+        "tab\there\nnewline": "  ",
+    }
+    path = tmp_path / "run.jsonl"
+    save_run(run_with(labels, 0), path)
+    raw = {"über|raw": "été \"quoted\" \\"}  # a line written without ASCII escapes
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"key": "über|raw", "label": raw["über|raw"]}, ensure_ascii=False) + "\n")
+    expected = {**labels, **raw}
+    lines = path.read_text("utf-8").splitlines()
+    assert {row["key"]: row["label"] for row in map(json.loads, lines[1:])} == expected
+    assert load_run(path).labels == expected
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"key": "torn|é')
+    assert load_run(path).labels == expected
+
+
 def test_load_run_raises_on_corruption_before_the_last_line(tmp_path):
     path = tmp_path / "run.jsonl"
     save_run(run_with({"k1": "Directives", "k2": "Expressives"}, 0), path)

@@ -377,6 +377,19 @@ def test_invalid_vote_becomes_skip():
     assert all(target is None for target in tallied.data["votes"].values())
 
 
+@pytest.mark.parametrize("target", ["Red", 1.5, [1]])
+def test_a_ballot_that_is_no_player_id_becomes_a_logged_skip(target):
+    state = new_game(GameConfig(3, 1, seed=5))
+    start_emergency_meeting(state)
+    agents = {p.id: Scripted(vote=lambda obs: target) for p in state.players}
+    run_meeting(state, agents)
+    no_ops = [e.data for e in state.events if e.kind == "no_op"]
+    expected = {"reason": "illegal_vote", "detail": repr(target)}
+    assert no_ops == [{"player": pid, **expected} for pid in state.turn_order]
+    ballots = [e.data["target"] for e in state.events if e.kind == "vote"]
+    assert ballots == [None] * len(state.players)
+
+
 def test_raising_vote_becomes_skip_ballot():
     state = new_game(GameConfig(3, 1, seed=5))
     imp, crew = impostor_and_crew(state)

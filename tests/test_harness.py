@@ -12,22 +12,24 @@ from pathlib import Path
 
 import pytest
 
-from crewsim.agents.chat import ChatClient, ChatEndpointConfig
+from crewsim.agents.chat import ChatAgent, ChatClient, ChatEndpointConfig
 from crewsim.agents.mock_server import MockChatServer, completion_body
 from crewsim.annotate.backends import ChatBackend, ReplayBackend, RuleBackend
 from crewsim.annotate.labels import UNCLASSIFIABLE
 from crewsim.annotate.classify import deception_template
 from crewsim.core.serialize import encode_record
+from crewsim.core.types import Event, GameConfig, player_name
 from crewsim.engine import engine
 from crewsim.engine.replay import verify_record
 from crewsim.harness import runner
-from crewsim.harness.analysis import analyze
-from crewsim.harness.annotator import annotate_corpus, collect_items
+from crewsim.harness.analysis import _Game, _load_corpus, _Utt, analyze
+from crewsim.harness.annotator import _Item, annotate_corpus, collect_items
 from crewsim.harness.cli import main as cli_main
 from crewsim.harness.corpus import count_failures, iter_corpus
 from crewsim.harness.plan import ExperimentPlan, default_plan
 from crewsim.harness.runner import _run_one, build_roster, run_experiment
 from mockmodels import ContentKeyedModel, game_reply
+from test_digests import InProcessClient
 
 TINY_PLAN = {
     "base_seed": 404,
@@ -403,16 +405,22 @@ def test_analyze_without_annotations_marks_sections(corpus, tmp_path):
     ]
 
 
-def test_failed_placeholders_are_counted_exactly(tmp_path):
-    corpus = tmp_path / "corpus"
-    shutil.copytree(GOLDEN / "corpus", corpus)
-    path = corpus / "config_00_3v1.jsonl"
+def _with_placeholders(src: Path, dst: Path) -> Path:
+    """A copy of corpus ``src`` whose second and third 3v1 games are failed-game
+    placeholders, and whose first utterance reads "failed"."""
+    shutil.copytree(src, dst)
+    path = dst / "config_00_3v1.jsonl"
     records = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
     spoken = next(e for e in records[0]["events"] if e["kind"] == "utterance")
     spoken["data"]["text"] = "failed"  # holds '"failed"' but is no placeholder
     lines = [json.dumps(record) for record in records]
     lines[1:3] = [json.dumps({"failed": True, "game_id": f"g{i}", "error": "boom"}) for i in (1, 2)]
     path.write_text("\n".join(lines) + "\n", "utf-8")
+    return dst
+
+
+def test_failed_placeholders_are_counted_exactly(tmp_path):
+    corpus = _with_placeholders(GOLDEN / "corpus", tmp_path / "corpus")
     assert count_failures(corpus) == 2
     ann = annotate_corpus(corpus, RuleBackend(), runs=1, out_dir=tmp_path / "ann")
     assert analyze(corpus, ann).sections["counts"]["failed_records"] == 2
@@ -612,6 +620,135 @@ def test_cli_replays_a_per_game_file(capsys):
     from_jsonl = capsys.readouterr().out
     assert cli_main(["replay", "--game", str(corpus / "config_00_3v1" / "game_0003.json"), "--verify"]) == 0
     assert capsys.readouterr().out == from_jsonl
+
+
+# ---- corpus readers ----
+
+
+def _reference_corpus(corpus: Path):
+    """What ``_load_corpus`` returns, built from ``GameRecord``s."""
+    games, utterances, ejected, meeting_rounds, ejection_rounds = [], [], set(), {}, {}
+    for record in iter_corpus(corpus):
+        slots = record.utterances()
+        spoken = [u for u in slots if not u.abstained]
+        utterances += [
+            _Utt(u.key, record.game_id, u.speaker_role.value, u.meeting_index, u.abstained) for u in slots
+        ]
+        ejected |= {(record.game_id, e.data["meeting_index"]) for e in record.events if e.kind == "ejection"}
+        label = record.config.label()
+        meeting_rounds.setdefault(label, []).extend(record.meeting_rounds)
+        ejection_rounds.setdefault(label, []).extend(record.ejection_rounds)
+        games.append(
+            _Game(
+                record.game_id,
+                label,
+                record.config.num_crew,
+                record.config.num_impostors,
+                record.outcome.winner,
+                record.outcome.reason,
+                record.events[-1].round if record.events else 0,
+                record.num_discussions,
+                record.num_ejections,
+                sum(u.word_count for u in spoken),
+                len(spoken),
+                len(slots),
+            )
+        )
+    return games, utterances, ejected, meeting_rounds, ejection_rounds, count_failures(corpus)
+
+
+def _reference_items(corpus: Path, discussion_window: str) -> list:
+    """What ``collect_items`` returns, built from ``GameRecord.utterances()``."""
+    items = []
+    for record in iter_corpus(corpus):
+        meetings: dict[int, list] = {}
+        for utt in record.utterances():
+            meetings.setdefault(utt.meeting_index, []).append(utt)
+        history: list[str] = []
+        for index in sorted(meetings):
+            spoken = [u for u in meetings[index] if not u.abstained]
+            lines = [f"{player_name(u.speaker_id)}: {u.text}" for u in spoken]
+            history += lines
+            discussion = "\n".join(lines if discussion_window == "meeting" else history)
+            items += [_Item(u.key, u.text, discussion) for u in spoken]
+    return items
+
+
+def _in_process_chat_corpus(out: Path) -> Path:
+    """Two chat games whose player model is ``mockmodels.game_reply``, asked
+    in process, stored as one configuration's JSONL."""
+    out.mkdir()
+    lines = []
+    for seed in (7, 8):
+        config = GameConfig(3, 1, discussion_rounds=2, kill_cooldown=1, max_rounds=20, seed=seed)
+        client, roles = InProcessClient(), engine.assign_roles(config)
+        agents = [ChatAgent(pid, roles[pid], client) for pid in range(config.num_players)]
+        lines.append(encode_record(engine.run_game(config, agents, game_id=f"chat-{seed}")))
+    (out / "config_00_3v1.jsonl").write_text("\n".join(lines) + "\n", "utf-8")
+    return out
+
+
+@pytest.fixture(scope="module", params=["golden", "chat", "placeholders"])
+def reader_corpus(request, tmp_path_factory) -> tuple[Path, int]:
+    """A corpus for the reader equivalence checks, with its failed-game count."""
+    if request.param == "golden":
+        return GOLDEN / "corpus", 0
+    out = tmp_path_factory.mktemp("readers") / "corpus"
+    if request.param == "chat":
+        corpus = _in_process_chat_corpus(out)
+        records = map(json.loads, (corpus / "config_00_3v1.jsonl").read_text("utf-8").splitlines())
+        utterances = [e["data"] for record in records for e in record["events"] if e["kind"] == "utterance"]
+        assert utterances and all({"prompt", "raw"} <= data.keys() for data in utterances)
+        return corpus, 0
+    return _with_placeholders(GOLDEN / "corpus", out), 2
+
+
+def test_load_corpus_matches_the_game_record_reference(reader_corpus):
+    corpus, failures = reader_corpus
+    loaded = _load_corpus(corpus)
+    assert loaded == _reference_corpus(corpus)
+    assert loaded[1] and loaded[-1] == failures
+
+
+@pytest.mark.parametrize("window", ["meeting", "game"])
+def test_collect_items_matches_the_game_record_reference(reader_corpus, window):
+    corpus, _ = reader_corpus
+    items = collect_items(corpus, window)
+    assert items and items == _reference_items(corpus, window)
+
+
+def _unknown_role(record: dict) -> None:
+    next(e for e in record["events"] if e["kind"] == "utterance")["data"]["speaker_role"] = "ghost"
+
+
+def _no_num_crew(record: dict) -> None:
+    del record["config"]["num_crew"]
+
+
+@pytest.mark.parametrize("corrupt, error", [(_unknown_role, ValueError), (_no_num_crew, TypeError)])
+def test_corpus_readers_refuse_a_malformed_record(corrupt, error, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(GOLDEN / "corpus", corpus)
+    path = corpus / "config_01_4v2.jsonl"
+    records = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    corrupt(records[-1])
+    path.write_text("".join(json.dumps(record) + "\n" for record in records), "utf-8")
+    with pytest.raises(error):
+        analyze(corpus, GOLDEN / "annotations")
+    with pytest.raises(error):
+        collect_items(corpus)
+
+
+def test_analyze_and_collect_items_build_no_event(monkeypatch, tmp_path):
+    """Both stages read decoded records; ``iter_corpus`` still builds events."""
+    built = []
+    from_dict = Event.from_dict
+    monkeypatch.setattr(Event, "from_dict", staticmethod(lambda data: built.append(1) or from_dict(data)))
+    analyze(GOLDEN / "corpus", GOLDEN / "annotations", out_dir=tmp_path / "report")
+    collect_items(GOLDEN / "corpus")
+    assert len(built) == 0
+    next(iter_corpus(GOLDEN / "corpus"))
+    assert len(built) > 0
 
 
 # ---- concurrent chat games ----
