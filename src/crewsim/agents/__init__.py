@@ -1,4 +1,4 @@
-from crewsim.agents.base import Abstention, AgentPolicy, AgentResponse
+from crewsim.agents.base import Abstention, AgentResponse
 from crewsim.agents.chat import ChatAgent, ChatClient, ChatEndpointConfig, chat_complete
 from crewsim.agents.parsing import parse_response, render_response
 from crewsim.agents.prompts import build_prompt, render_observation, role_instructions
@@ -11,7 +11,6 @@ from crewsim.agents.scripted import (
 
 __all__ = [
     "Abstention",
-    "AgentPolicy",
     "AgentResponse",
     "ChatAgent",
     "ChatClient",

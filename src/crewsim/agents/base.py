@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 from crewsim.core.types import Action
-from crewsim.engine.observation import Observation
 
 
 @dataclass(frozen=True)
@@ -23,21 +21,3 @@ class Abstention:
     """Unusable agent output; the raw text is preserved for the log."""
 
     raw: str
-
-
-@runtime_checkable
-class AgentPolicy(Protocol):
-    """What the engine needs from a player controller.
-
-    Implementations must be deterministic given (observation sequence, seed).
-    ``decide`` may return None to deliberately do nothing this turn.
-    """
-
-    def decide(self, observation: Observation) -> AgentResponse | None:
-        ...
-
-    def speak(self, observation: Observation) -> str:
-        ...
-
-    def vote(self, observation: Observation) -> int | None:
-        ...

@@ -41,6 +41,20 @@ def _mentioned(names: tuple[str, ...], text: str) -> frozenset[str]:
     return frozenset(match.group() for match in _name_pattern(names).finditer(text))
 
 
+def _step_toward(rng: random.Random, game_map, here: str, goals: list[str], moves: list[Action]) -> Action:
+    """A seeded pick among the nearest ``goals``, then among the ``moves`` (sorted
+    by room) that bring the player nearest to it."""
+    best = min(game_map.distance(here, room) for room in goals)
+    target = rng.choice([room for room in goals if game_map.distance(here, room) == best])
+    nearest = min(game_map.distance(a.room, target) for a in moves)
+    return rng.choice([a for a in moves if game_map.distance(a.room, target) == nearest])
+
+
+def _moves(obs: Observation) -> list[Action]:
+    """The legal moves, sorted by room."""
+    return sorted((a for a in obs.legal_actions if a.kind is ActionKind.MOVE), key=lambda a: a.room)
+
+
 def _accused_me(obs: Observation) -> bool:
     """Whether another player has named the viewer in this meeting."""
     me = (obs.viewer_name,)
@@ -165,17 +179,10 @@ class TaskRusher(ScriptedAgent):
         if undone_here:
             return _respond(undone_here[0])
         goal_rooms = sorted({room for _, room, done in obs.tasks if not done})
-        if not goal_rooms:
+        moves = _moves(obs)
+        if not goal_rooms or not moves:
             return None
-        here = obs.current_room
-        best = min(self.map.distance(here, room) for room in goal_rooms)
-        target = self.rng.choice([r for r in goal_rooms if self.map.distance(here, r) == best])
-        moves = [a for a in obs.legal_actions if a.kind is ActionKind.MOVE]
-        if not moves:
-            return None
-        nearest = min(self.map.distance(a.room, target) for a in moves)
-        step = self.rng.choice(sorted((a for a in moves if self.map.distance(a.room, target) == nearest), key=lambda a: a.room))
-        return _respond(step)
+        return _respond(_step_toward(self.rng, self.map, obs.current_room, goal_rooms, moves))
 
 
 class StandStill(ScriptedAgent):
@@ -213,17 +220,12 @@ class Hunter(ScriptedAgent):
             return _respond(pick)
         if obs.visible_players:
             return None  # wait out the cooldown next to the prey
-        moves = sorted(
-            (a for a in obs.legal_actions if a.kind is ActionKind.MOVE), key=lambda a: a.room
-        )
+        moves = _moves(obs)
         if not moves:
             return None
         remembered = sorted(set(self.last_seen.values()) - {room})
         if remembered:
-            best = min(self.map.distance(room, r) for r in remembered)
-            target = self.rng.choice([r for r in remembered if self.map.distance(room, r) == best])
-            nearest = min(self.map.distance(a.room, target) for a in moves)
-            moves = [a for a in moves if self.map.distance(a.room, target) == nearest]
+            return _respond(_step_toward(self.rng, self.map, room, remembered, moves))
         return _respond(self.rng.choice(moves))
 
 

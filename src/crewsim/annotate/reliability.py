@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -50,14 +50,7 @@ class StabilityReport:
     kappa: dict[str, float | None]
 
     def to_dict(self) -> dict:
-        return {
-            "n_items": self.n_items,
-            "identical_fraction": self.identical_fraction,
-            "two_of_three_fraction": self.two_of_three_fraction,
-            "all_differ_fraction": self.all_differ_fraction,
-            "pairwise_agreement": dict(self.pairwise_agreement),
-            "kappa": dict(self.kappa),
-        }
+        return asdict(self)
 
 
 def stability(runs: Sequence[AnnotationRun]) -> StabilityReport:

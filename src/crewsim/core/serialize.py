@@ -33,16 +33,6 @@ def load_map(path: str | Path) -> MapSpec:
     return spec
 
 
-def save_map(spec: MapSpec, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_dict(), fh, indent=2)
-        fh.write("\n")
-
-
 def encode_record(record: GameRecord) -> str:
     """One-line JSON encoding; field order fixed by ``GameRecord.to_dict``."""
     return json.dumps(record.to_dict(), ensure_ascii=False, separators=(",", ":"))
-
-
-def decode_record(line: str) -> GameRecord:
-    return GameRecord.from_dict(json.loads(line))

@@ -10,7 +10,7 @@ import functools
 import hashlib
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 MAX_SEED = 2**64 - 1
@@ -278,23 +278,18 @@ class GameConfig:
         return f"{self.num_crew}v{self.num_impostors}"
 
     def to_dict(self) -> dict:
-        return {
-            "num_crew": self.num_crew,
-            "num_impostors": self.num_impostors,
-            "tasks_per_crew": self.tasks_per_crew,
-            "discussion_rounds": self.discussion_rounds,
-            "kill_cooldown": self.kill_cooldown,
-            "emergency_meetings_per_player": self.emergency_meetings_per_player,
-            "max_rounds": self.max_rounds,
-            "map": self.map.to_dict(),
-            "seed": self.seed,
-        }
+        data = {name: getattr(self, name) for name in CONFIG_FIELDS}
+        data["map"] = self.map.to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> GameConfig:
         data = dict(data)
         data["map"] = MapSpec.from_dict(data["map"])
         return cls(**data)
+
+
+CONFIG_FIELDS = tuple(f.name for f in fields(GameConfig))
 
 
 @dataclass(frozen=True)
@@ -542,14 +537,6 @@ class GameRecord:
     outcome: Outcome
     meeting_rounds: list[int]
     ejection_rounds: list[int]
-
-    @property
-    def num_discussions(self) -> int:
-        return len(self.meeting_rounds)
-
-    @property
-    def num_ejections(self) -> int:
-        return len(self.ejection_rounds)
 
     def utterances(self) -> list[UtteranceRecord]:
         out = []

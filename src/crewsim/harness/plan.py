@@ -13,17 +13,10 @@ from importlib import resources
 from pathlib import Path
 
 from crewsim.core.serialize import load_map
-from crewsim.core.types import MAX_SEED, GameConfig, stable_seed
+from crewsim.core.types import CONFIG_FIELDS, MAX_SEED, GameConfig, stable_seed
 
-_CONFIG_KEYS = (
-    "num_crew",
-    "num_impostors",
-    "tasks_per_crew",
-    "discussion_rounds",
-    "kill_cooldown",
-    "emergency_meetings_per_player",
-    "max_rounds",
-)
+# The map comes from "map_file"; per-game seeds come from the plan.
+_CONFIG_KEYS = tuple(k for k in CONFIG_FIELDS if k not in ("map", "seed"))
 
 
 @dataclass

@@ -6,15 +6,13 @@ from crewsim.stats.contingency import (
     odds_ratio,
     two_prop_z,
 )
-from crewsim.stats.ecdf import Ecdf, ecdf
+from crewsim.stats.ecdf import Ecdf
 from crewsim.stats.logistic import RegressionFit, log_likelihood, logistic_fit, sigmoid
 from crewsim.stats.rank import SpearmanResult, rank_data, spearman
 from crewsim.stats.special import (
     chi2_sf,
-    normal_cdf,
     normal_sf,
     regularized_beta,
-    regularized_gamma_p,
     regularized_gamma_q,
     student_t_sf,
 )
@@ -27,7 +25,6 @@ __all__ = [
     "odds_ratio",
     "two_prop_z",
     "Ecdf",
-    "ecdf",
     "RegressionFit",
     "log_likelihood",
     "logistic_fit",
@@ -36,10 +33,8 @@ __all__ = [
     "rank_data",
     "spearman",
     "chi2_sf",
-    "normal_cdf",
     "normal_sf",
     "regularized_beta",
-    "regularized_gamma_p",
     "regularized_gamma_q",
     "student_t_sf",
 ]

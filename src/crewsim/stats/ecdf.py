@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class Ecdf:
@@ -30,7 +30,3 @@ class Ecdf:
             if i + 1 == self.n or self._sorted[i + 1] != value:
                 out.append((value, (i + 1) / self.n))
         return out
-
-
-def ecdf(samples: Sequence[float]) -> Ecdf:
-    return Ecdf(samples)

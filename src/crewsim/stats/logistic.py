@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import mul, sub
 
 _SEPARATION_BOUND = 100.0  # |log-odds| this large means probabilities are 1 to ~4e-44
@@ -62,21 +62,8 @@ class RegressionFit:
     log_likelihood: float
     warning: str | None = None
 
-    def coefficient(self, name: str) -> float:
-        return self.beta[self.names.index(name)]
-
     def to_dict(self) -> dict:
-        return {
-            "names": list(self.names),
-            "beta": list(self.beta),
-            "se": list(self.se),
-            "ci_low": list(self.ci_low),
-            "ci_high": list(self.ci_high),
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "log_likelihood": self.log_likelihood,
-            "warning": self.warning,
-        }
+        return asdict(self)
 
 
 def collinear_columns(X, names: list[str]) -> list[str]:

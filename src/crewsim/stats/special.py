@@ -4,9 +4,9 @@ Everything is built on two classical workhorses, each iterated to machine
 precision (relative tolerance 1e-15, so absolute error is far below the
 1e-8 the test oracles demand):
 
-- the regularized incomplete gamma functions P(a, x) and Q(a, x), using the
-  power series for x < a + 1 and a modified Lentz continued fraction for
-  x >= a + 1;
+- the upper regularized incomplete gamma function Q(a, x), as 1 - P(a, x)
+  by the power series for x < a + 1 and by a modified Lentz continued
+  fraction for x >= a + 1;
 - the regularized incomplete beta function I_x(a, b) via the Lentz continued
   fraction, applied on whichever side of the symmetry point converges fast.
 
@@ -61,19 +61,6 @@ def _gamma_cf(a: float, x: float) -> float:
     return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
 
 
-def regularized_gamma_p(a: float, x: float) -> float:
-    """P(a, x) = gamma(a, x) / Gamma(a), the lower regularized tail."""
-    if a <= 0:
-        raise ValueError(f"shape a must be positive, got {a}")
-    if x < 0:
-        raise ValueError(f"x must be non-negative, got {x}")
-    if x == 0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
-
-
 def regularized_gamma_q(a: float, x: float) -> float:
     """Q(a, x) = 1 - P(a, x), the upper regularized tail."""
     if a <= 0:
@@ -105,11 +92,6 @@ def normal_sf(x: float) -> float:
     return 0.5 * regularized_gamma_q(0.5, 0.5 * x * x)
 
 
-def normal_cdf(x: float) -> float:
-    """P(Z <= x) for the standard normal."""
-    return 1.0 - normal_sf(x)
-
-
 def _beta_cf(a: float, b: float, x: float) -> float:
     qab = a + b
     qap = a + 1.0
@@ -122,25 +104,20 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even coefficient, then the odd one
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             break
     return h

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import json
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crewsim.core.serialize import decode_record, default_map, encode_record, load_map, save_map
+from crewsim.core.serialize import default_map, encode_record, load_map
 from crewsim.core.types import (
     Action,
     ActionKind,
     GameConfig,
+    GameRecord,
     MapSpec,
     UtteranceRecord,
     Role,
@@ -124,7 +127,7 @@ def test_map_distance_and_neighbors():
 
 def test_map_file_round_trip(tmp_path):
     path = tmp_path / "map.json"
-    save_map(default_map(), path)
+    path.write_text(json.dumps(default_map().to_dict()), "utf-8")
     assert load_map(path) == default_map()
 
 
@@ -137,7 +140,7 @@ def test_record_round_trip_for_scripted_game(small_config):
 
     record = run_game(small_config, make_scripted_roster(small_config, "random_walker", "hunter"))
     line = encode_record(record)
-    assert decode_record(line) == record
+    assert GameRecord.from_dict(json.loads(line)) == record
     assert "\n" not in line
 
 
@@ -147,7 +150,7 @@ def test_record_round_trip_preserves_unicode(small_config):
 
     record = run_game(small_config, make_scripted_roster(small_config, "stand_still", "pacifist"))
     record.events[0].data["note"] = "café ‘quotes’"
-    assert decode_record(encode_record(record)) == record
+    assert GameRecord.from_dict(json.loads(encode_record(record))) == record
 
 
 def test_event_timesteps_never_decrease(small_config):

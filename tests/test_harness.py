@@ -647,8 +647,8 @@ def _reference_corpus(corpus: Path):
                 record.outcome.winner,
                 record.outcome.reason,
                 record.events[-1].round if record.events else 0,
-                record.num_discussions,
-                record.num_ejections,
+                len(record.meeting_rounds),
+                len(record.ejection_rounds),
                 sum(u.word_count for u in spoken),
                 len(spoken),
                 len(slots),

@@ -81,8 +81,8 @@ def test_logistic_fit_reproduces_saturated_closed_form():
     X, y = _grouped_design()
     fit = logistic_fit(X, y, names=["intercept", "x"])
     assert fit.converged
-    assert fit.coefficient("intercept") == pytest.approx(math.log(10 / 40), abs=1e-6)
-    assert fit.coefficient("x") == pytest.approx(math.log((30 * 40) / (20 * 10)), abs=1e-6)
+    assert fit.beta[fit.names.index("intercept")] == pytest.approx(math.log(10 / 40), abs=1e-6)
+    assert fit.beta[fit.names.index("x")] == pytest.approx(math.log((30 * 40) / (20 * 10)), abs=1e-6)
 
 
 def test_logistic_fit_wald_ci_shape():

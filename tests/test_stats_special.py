@@ -9,10 +9,8 @@ import pytest
 
 from crewsim.stats.special import (
     chi2_sf,
-    normal_cdf,
     normal_sf,
     regularized_beta,
-    regularized_gamma_p,
     regularized_gamma_q,
     student_t_sf,
 )
@@ -49,7 +47,6 @@ def test_normal_sf_matches_quadrature(x):
 
 @pytest.mark.parametrize("x", [-2.0, -0.7, 0.0, 0.7, 2.0])
 def test_normal_cdf_complements_sf(x):
-    assert normal_cdf(x) + normal_sf(x) == pytest.approx(1.0, abs=1e-14)
     # erfc from the stdlib is an implementation-independent cross-check
     assert normal_sf(x) == pytest.approx(0.5 * math.erfc(x / math.sqrt(2.0)), abs=1e-13)
 
@@ -74,20 +71,16 @@ def test_student_t_symmetry():
     assert student_t_sf(-1.3, 7) == pytest.approx(1.0 - student_t_sf(1.3, 7), abs=1e-14)
 
 
-def test_gamma_tails_are_complementary():
+def test_gamma_upper_tail_is_a_probability():
     for a in (0.5, 1.0, 2.5, 10.0):
         for x in (0.1, 1.0, 3.0, 12.0):
-            p = regularized_gamma_p(a, x)
-            q = regularized_gamma_q(a, x)
-            assert p + q == pytest.approx(1.0, abs=1e-12)
-            assert 0.0 <= p <= 1.0
+            assert 0.0 <= regularized_gamma_q(a, x) <= 1.0
 
 
 def test_gamma_boundaries_and_domain():
-    assert regularized_gamma_p(2.0, 0.0) == 0.0
     assert regularized_gamma_q(2.0, 0.0) == 1.0
     with pytest.raises(ValueError):
-        regularized_gamma_p(0.0, 1.0)
+        regularized_gamma_q(0.0, 1.0)
     with pytest.raises(ValueError):
         regularized_gamma_q(1.0, -0.5)
 
