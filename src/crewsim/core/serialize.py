@@ -26,10 +26,15 @@ def default_map() -> MapSpec:
 
 def load_map(path: str | Path) -> MapSpec:
     with open(path, encoding="utf-8") as fh:
-        spec = MapSpec.from_dict(json.load(fh))
+        return checked_map(json.load(fh), f"map file {path}")
+
+
+def checked_map(data: dict, source: str) -> MapSpec:
+    """The map ``data`` describes; a ValueError naming ``source`` if it is invalid."""
+    spec = MapSpec.from_dict(data)
     problems = spec.validate()
     if problems:
-        raise ValueError(f"invalid map file {path}: " + "; ".join(problems))
+        raise ValueError(f"invalid {source}: " + "; ".join(problems))
     return spec
 
 

@@ -320,7 +320,8 @@ def validate_config(config: GameConfig) -> list[ConfigIssue]:
     if config.num_impostors > config.num_crew:
         violation("num_impostors", "impostors must not outnumber crewmates at start")
     elif config.num_impostors == config.num_crew:
-        # runnable, but parity ends the game immediately
+        # runnable, but the impostors win by parity at the first applied action,
+        # or at the end of the first task phase if every player abstains
         issues.append(ConfigIssue("warning", "num_impostors", "game starts at parity"))
     total = config.num_players
     if total < 2:

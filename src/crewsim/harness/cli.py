@@ -32,10 +32,22 @@ def _absent(path: Path | None, what: str, exists=Path.is_file) -> bool:
     return True
 
 
+def _build(build, path: Path, what: str):
+    """``build(path)``, or None after one line on stderr naming ``path`` when the
+    file cannot be read or does not describe a valid ``what``."""
+    try:
+        return build(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        _echo(f"{what} {path} is invalid: {type(exc).__name__}: {exc}")
+        return None
+
+
 def cmd_simulate(args) -> int:
     if _absent(args.plan, "plan file"):
         return 2
-    plan = ExperimentPlan.from_file(args.plan) if args.plan else default_plan()
+    plan = _build(ExperimentPlan.from_file, args.plan, "plan file") if args.plan else default_plan()
+    if plan is None:
+        return 2
     out = run_experiment(plan, args.out, workers=args.workers, echo=_echo)
     _echo(f"corpus written to {out}")
     return 0
@@ -55,16 +67,26 @@ def cmd_annotate(args) -> int:
             return 2
         if _absent(args.endpoint, "endpoint file"):
             return 2
-        backend = ChatBackend(ChatEndpointConfig.from_file(args.endpoint))
-    else:
-        if _absent(args.replay_speech, "replay file") or _absent(args.replay_deception, "replay file"):
+        backend = _build(lambda path: ChatBackend(ChatEndpointConfig.from_file(path)), args.endpoint, "endpoint file")
+        if backend is None:
             return 2
-        speech = load_run(args.replay_speech).labels if args.replay_speech else {}
-        deception = load_run(args.replay_deception).labels if args.replay_deception else {}
-        if not speech and not deception:
+    else:
+        labels = {}
+        for task, path in (("speech_act", args.replay_speech), ("deception", args.replay_deception)):
+            labels[task] = {}
+            if path is None:
+                continue
+            run = None if _absent(path, "replay file") else _build(load_run, path, "replay file")
+            if run is None:
+                return 2
+            if run.task != task:
+                _echo(f"replay file {path} holds {run.task} labels, but its flag takes {task} labels")
+                return 2
+            labels[task] = run.labels
+        if not any(labels.values()):
             _echo("--replay-speech and/or --replay-deception required with --backend replay")
             return 2
-        backend = ReplayBackend(speech, deception)
+        backend = ReplayBackend(labels["speech_act"], labels["deception"])
     out = annotate_corpus(
         args.corpus,
         backend,

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from crewsim.core.serialize import load_map
+from crewsim.core.serialize import checked_map, default_map, load_map
 from crewsim.core.types import CONFIG_FIELDS, MAX_SEED, GameConfig, stable_seed
 
-# The map comes from "map_file"; per-game seeds come from the plan.
+# The map is given as "map" or "map_file"; per-game seeds come from the plan.
 _CONFIG_KEYS = tuple(k for k in CONFIG_FIELDS if k not in ("map", "seed"))
 
 
@@ -26,6 +26,9 @@ class PlanEntry:
 
     def to_dict(self) -> dict:
         data = {k: getattr(self.config, k) for k in _CONFIG_KEYS}
+        map_data = self.config.map.to_dict()
+        if map_data != default_map().to_dict():  # as written: records keep the edge order
+            data["map"] = map_data
         data["repetitions"] = self.repetitions
         return data
 
@@ -71,6 +74,9 @@ class ExperimentPlan:
             raw = dict(raw)
             repetitions = raw.pop("repetitions", 1)
             map_file = raw.pop("map_file", None)
+            map_data = raw.pop("map", None)
+            if map_file is not None and map_data is not None:
+                raise ValueError("a plan config gives both 'map' and 'map_file'")
             unknown = set(raw) - set(_CONFIG_KEYS)
             if unknown:
                 raise ValueError(f"unknown config fields in plan: {sorted(unknown)}")
@@ -80,6 +86,8 @@ class ExperimentPlan:
                 if base_dir is not None and not path.is_absolute():
                     path = base_dir / path
                 config.map = load_map(path)
+            elif map_data is not None:
+                config.map = checked_map(map_data, "map in plan")
             entries.append(PlanEntry(config=config, repetitions=repetitions))
         return cls(
             entries=entries,

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import crewsim
 from crewsim.core.serialize import default_map, encode_record, load_map
 from crewsim.core.types import (
     Action,
@@ -166,3 +170,15 @@ def test_stable_seed_is_stable():
     assert stable_seed("game", 0, 1) == stable_seed("game", 0, 1)
     assert stable_seed("game", 0, 1) != stable_seed("game", 1, 0)
     assert 0 <= stable_seed("x") < 2**64
+
+
+# ---- package exports ----
+
+
+@pytest.mark.parametrize(
+    "package",
+    ["crewsim", *(info.name for info in pkgutil.walk_packages(crewsim.__path__, "crewsim.") if info.ispkg)],
+)
+def test_every_exported_name_resolves(package):
+    module = importlib.import_module(package)
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []

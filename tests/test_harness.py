@@ -17,7 +17,7 @@ from crewsim.agents.mock_server import MockChatServer, completion_body
 from crewsim.annotate.backends import ChatBackend, ReplayBackend, RuleBackend
 from crewsim.annotate.labels import UNCLASSIFIABLE
 from crewsim.annotate.classify import deception_template
-from crewsim.core.serialize import encode_record
+from crewsim.core.serialize import default_map, encode_record
 from crewsim.core.types import Event, GameConfig, player_name
 from crewsim.engine import engine
 from crewsim.engine.replay import verify_record
@@ -84,6 +84,32 @@ def test_plan_rejects_bad_fields():
         ExperimentPlan.from_dict({"configs": []})
     with pytest.raises(ValueError):
         ExperimentPlan.from_dict({"configs": [{"num_crew": 3, "num_impostors": 1, "bogus": 2}]})
+
+
+WEAPONS_MAP = {**default_map().to_dict(), "cafeteria": "Weapons"}
+
+
+def test_plan_checks_an_inline_map():
+    config = {"num_crew": 3, "num_impostors": 1}
+    plan = ExperimentPlan.from_dict({"configs": [{**config, "map": WEAPONS_MAP}]})
+    assert plan.entries[0].config.map.cafeteria == "Weapons"
+    assert plan.to_dict()["configs"][0]["map"] == WEAPONS_MAP
+    assert all("map" not in entry for entry in tiny_plan().to_dict()["configs"])
+    with pytest.raises(ValueError, match="invalid map in plan"):
+        ExperimentPlan.from_dict({"configs": [{**config, "map": {**WEAPONS_MAP, "cafeteria": "Bridge"}}]})
+    with pytest.raises(ValueError, match="both"):
+        ExperimentPlan.from_dict({"configs": [{**config, "map": WEAPONS_MAP, "map_file": "map.json"}]})
+
+
+def test_the_written_plan_rebuilds_a_corpus_on_a_custom_map(tmp_path):
+    (tmp_path / "map.json").write_text(json.dumps(WEAPONS_MAP), "utf-8")
+    config = {"num_crew": 3, "num_impostors": 1, "repetitions": 2, "map_file": "map.json"}
+    (tmp_path / "plan.json").write_text(json.dumps({**TINY_PLAN, "configs": [config]}), "utf-8")
+    first = run_experiment(ExperimentPlan.from_file(tmp_path / "plan.json"), tmp_path / "a")
+    record = json.loads((first / "config_00_3v1.jsonl").read_text("utf-8").splitlines()[0])
+    assert record["config"]["map"]["cafeteria"] == "Weapons"
+    again = run_experiment(ExperimentPlan.from_file(first / "plan.json"), tmp_path / "b")
+    assert tree_bytes(again) == tree_bytes(first)
 
 
 # ---- runner ----
@@ -950,6 +976,46 @@ def test_cli_refuses_a_missing_path_in_one_line(command, path_name, tmp_path, ca
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and str(path) in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty"]
+
+
+SIMULATE_PLAN = ["simulate", "--plan", "{path}", "--out", "{tmp}/corpus"]
+ANNOTATE_ENDPOINT = [*ANNOTATE_GOLDEN, "--backend", "chat", "--endpoint", "{path}"]
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        pytest.param(SIMULATE_PLAN, '{"configs": [{"num_crew": 3, "num_impostors": 1, "bogus": 1}]}', id="plan-field"),
+        pytest.param(SIMULATE_PLAN, "not json", id="plan-not-json"),
+        pytest.param(SIMULATE_PLAN, '{"base_seed": 1}', id="plan-without-configs"),
+        pytest.param(
+            SIMULATE_PLAN, '{"configs": [{"num_crew": 3, "num_impostors": 1, "map_file": "nowhere.json"}]}', id="plan-map-file"
+        ),
+        pytest.param(ANNOTATE_ENDPOINT, '{"base_url": "http://localhost:1", "model": "m", "bogus": 1}', id="endpoint-key"),
+        pytest.param(ANNOTATE_ENDPOINT, '{"base_url": "ftp://localhost", "model": "m"}', id="endpoint-url"),
+        pytest.param([*ANNOTATE_GOLDEN, "--backend", "replay", "--replay-speech", "{path}"], "\n", id="replay-empty"),
+    ],
+)
+def test_cli_refuses_a_malformed_file_in_one_line(command, content, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(content, "utf-8")
+    argv = [arg.format(path=path, tmp=tmp_path, golden=GOLDEN / "corpus") for arg in command]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(path) in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.json"]
+
+
+@pytest.mark.parametrize("flag, run_file", [("--replay-speech", "deception"), ("--replay-deception", "speech_act")])
+def test_cli_annotate_refuses_a_replay_file_of_the_other_task(flag, run_file, tmp_path, capsys):
+    path = GOLDEN / "annotations" / f"{run_file}.run0.jsonl"
+    argv = ["annotate", "--corpus", str(GOLDEN / "corpus"), "--out", str(tmp_path / "out"), "--backend", "replay"]
+    assert cli_main([*argv, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err
+    assert "speech_act" in err and "deception" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_replay_reads_a_jsonl_with_a_failed_game(tmp_path, capsys):
