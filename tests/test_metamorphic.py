@@ -7,10 +7,14 @@ place in its run file, leaves ``report.json`` byte-identical. Each section
 counts, sorts, sums exactly (Spearman's half-integer ranks) or sums floats
 with ``math.fsum``; a float sum taken in corpus order would break this
 relation.
+
+Failed games: a failed-game placeholder line added to every configuration
+changes only ``counts.failed_records`` in the report.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import shutil
 from functools import partial
@@ -96,3 +100,17 @@ def test_game_order_leaves_the_report_unchanged(corpus_and_report, order, store,
     """``to_json()`` is ``report.json`` without its final newline."""
     corpus, annotations, expected = corpus_and_report
     assert analyze(*_reordered(corpus, annotations, tmp_path, order, store)).to_json() == expected
+
+
+def test_a_failed_game_placeholder_changes_only_the_failure_count(tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(GOLDEN / "corpus", corpus)
+    jsonls = sorted(corpus.glob("config_*.jsonl"))
+    for i, jsonl in enumerate(jsonls):
+        placeholder = json.dumps({"failed": True, "game_id": f"failed-{i}", "error": "boom"})
+        jsonl.write_text(jsonl.read_text("utf-8") + placeholder + "\n", "utf-8")
+    expected = json.loads(analyze(GOLDEN / "corpus", GOLDEN / "annotations").to_json())
+    report = json.loads(analyze(corpus, GOLDEN / "annotations").to_json())
+    assert expected["sections"]["counts"]["failed_records"] == 0
+    expected["sections"]["counts"]["failed_records"] = len(jsonls)
+    assert report == expected
