@@ -27,6 +27,7 @@ import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 
@@ -60,8 +61,7 @@ WIN_PREDICTORS = [
 TASK_LABELS = {"speech_act": SPEECH_ACTS, "deception": DECEPTION_TYPES}
 ROLES = ("crewmate", "impostor")
 LOGIT_FIELDS = ["count", "proportion", "logit", "ci_low", "ci_high"]
-_role = attrgetter("role")
-_game = attrgetter("game_id")
+_label = attrgetter("label")
 
 
 class Insufficient(Exception):
@@ -77,15 +77,22 @@ class _Game:
     winner: str
     reason: str
     end_round: int
-    num_discussions: int
-    num_ejects: int
+    meeting_rounds: list[int]
+    ejection_rounds: list[int]
     words: int
     n_spoken: int
-    n_opportunities: int
 
     @property
     def completed(self) -> bool:
         return self.winner in ("crew", "impostor")
+
+    @property
+    def num_discussions(self) -> int:
+        return len(self.meeting_rounds)
+
+    @property
+    def num_ejects(self) -> int:
+        return len(self.ejection_rounds)
 
     @property
     def words_per_discussion(self) -> float:
@@ -103,6 +110,7 @@ class _Utt:
     role: str
     meeting_index: int
     abstained: bool
+    winner: str  # the outcome of the utterance's game
 
 
 @dataclass
@@ -118,8 +126,7 @@ class AnalysisReport:
 
 def _load_corpus(corpus_dir: Path):
     """Read the corpus in one pass: the games, every utterance slot, the
-    meetings that ejected someone, the meeting and ejection rounds per
-    configuration label, and the number of failed-game placeholders.
+    meetings that ejected someone, and the number of failed-game placeholders.
 
     Records are read as decoded JSON objects, of whose events only utterances
     and ejections are looked at. Each record's config and outcome are still
@@ -130,8 +137,6 @@ def _load_corpus(corpus_dir: Path):
     games: list[_Game] = []
     utterances: list[_Utt] = []
     ejected_meetings: set[tuple[str, int]] = set()
-    meeting_rounds_by_label: dict[str, list[int]] = {}
-    ejection_rounds_by_label: dict[str, list[int]] = {}
     failures = 0
     for data in _iter_dicts(corpus_dir):
         if data.get("failed"):
@@ -141,12 +146,11 @@ def _load_corpus(corpus_dir: Path):
         config = GameConfig.from_dict(data["config"])
         outcome = Outcome.from_dict(data["outcome"])
         events = data["events"]
-        words = spoken = opportunities = 0
+        words = spoken = 0
         for event in events:
             kind = event["kind"]
             if kind == "utterance":
                 utt = event["data"]
-                opportunities += 1
                 abstained = utt["text"] == ""
                 if not abstained:
                     spoken += 1
@@ -160,31 +164,27 @@ def _load_corpus(corpus_dir: Path):
                         role=Role(utt["speaker_role"]).value,
                         meeting_index=utt["meeting_index"],
                         abstained=abstained,
+                        winner=outcome.winner,
                     )
                 )
             elif kind == "ejection":
                 ejected_meetings.add((game_id, event["data"]["meeting_index"]))
-        label = config.label()
-        meeting_rounds, ejection_rounds = data["meeting_rounds"], data["ejection_rounds"]
-        meeting_rounds_by_label.setdefault(label, []).extend(meeting_rounds)
-        ejection_rounds_by_label.setdefault(label, []).extend(ejection_rounds)
         games.append(
             _Game(
                 game_id=game_id,
-                label=label,
+                label=config.label(),
                 num_crew=config.num_crew,
                 num_impostors=config.num_impostors,
                 winner=outcome.winner,
                 reason=outcome.reason,
                 end_round=events[-1]["round"] if events else 0,
-                num_discussions=len(meeting_rounds),
-                num_ejects=len(ejection_rounds),
+                meeting_rounds=data["meeting_rounds"],
+                ejection_rounds=data["ejection_rounds"],
                 words=words,
                 n_spoken=spoken,
-                n_opportunities=opportunities,
             )
         )
-    return games, utterances, ejected_meetings, meeting_rounds_by_label, ejection_rounds_by_label, failures
+    return games, utterances, ejected_meetings, failures
 
 
 def _load_labels(annotations_dir: Path | None, task: str) -> dict[str, str] | None:
@@ -216,14 +216,6 @@ def _logit_row(count: int, total: int) -> dict:
         "ci_low": logit - 1.96 * se,
         "ci_high": logit + 1.96 * se,
     }
-
-
-def _tally(labeled: list[tuple[_Utt, str]], key) -> dict[object, Counter]:
-    """Label counts per group; a group never seen reads as an empty Counter."""
-    groups: dict[object, Counter] = defaultdict(Counter)
-    for utt, label in labeled:
-        groups[key(utt)][label] += 1
-    return groups
 
 
 def _logit_groups(groups: dict[str, Counter], categories: list[str], inner: str, why: str) -> dict:
@@ -266,16 +258,9 @@ class _Analyzer:
     """One method per report section, named as in ``SECTIONS``."""
 
     def __init__(self, corpus_dir: Path, annotations_dir: Path | None):
-        (
-            self.games,
-            self.utterances,
-            self.ejected_meetings,
-            self.meeting_rounds,
-            self.ejection_rounds,
-            self.failures,
-        ) = _load_corpus(corpus_dir)
+        self.games, self.utterances, self.ejected_meetings, self.failures = _load_corpus(corpus_dir)
         self.completed = [g for g in self.games if g.completed]
-        self.outcome_by_game = {g.game_id: g.winner for g in self.games}
+        self.by_label = {label: list(rows) for label, rows in groupby(sorted(self.games, key=_label), _label)}
         self.labels = {task: _load_labels(annotations_dir, task) for task in TASK_LABELS}
         spoken = [u for u in self.utterances if not u.abstained]
         self._labeled_by_task: dict[str, list[tuple[_Utt, str]]] = {}
@@ -285,6 +270,7 @@ class _Analyzer:
                 self._labeled_by_task[task] = [
                     (u, labels[u.key]) for u in spoken if labels.get(u.key) in valid
                 ]
+        self._tallies: dict[tuple, dict[object, Counter]] = {}
         self.notes: list[str] = []
 
     def _labeled(self, task: str) -> list[tuple[_Utt, str]]:
@@ -293,11 +279,16 @@ class _Analyzer:
             raise Insufficient(f"no {task} annotations supplied")
         return self._labeled_by_task[task]
 
-    def _completed_only(self, labeled: list[tuple[_Utt, str]], why: str) -> list[tuple[_Utt, str]]:
-        kept = [(u, lab) for u, lab in labeled if self.outcome_by_game.get(u.game_id) in ("crew", "impostor")]
-        if not kept:
-            raise Insufficient(why)
-        return kept
+    def _tally(self, task: str, *fields: str) -> dict[object, Counter]:
+        """Run-0 ``task`` label counts per value of the ``_Utt`` ``fields``, counted once
+        per analysis. Each call returns its own view, so reading an unseen group adds it for no other caller."""
+        if (task, fields) not in self._tallies:
+            labeled = self._labeled(task)  # raises before an empty tally is kept
+            groups = self._tallies[task, fields] = defaultdict(Counter)
+            key = attrgetter(*fields)
+            for utt, label in labeled:
+                groups[key(utt)][label] += 1
+        return defaultdict(Counter, self._tallies[task, fields])
 
     def _design(self, winner: str, predictors: dict[str, list[float]]) -> dict:
         """Logistic regression of ``winner`` victory over completed games."""
@@ -328,9 +319,8 @@ class _Analyzer:
         fit = logistic_fit(X, y, names=["intercept"] + kept)
         return {**fit.to_dict(), "dropped_constant": dropped, "dropped_collinear": redundant, "n": len(rows)}
 
-    def _act_two_by_two(self, labeled, split, order: tuple[str, str]) -> dict:
-        """Per-act 2x2 contrasts; OR > 1 means the act leans toward order[0]."""
-        groups = _tally(labeled, split)
+    def _act_two_by_two(self, groups: dict[str, Counter], order: tuple[str, str]) -> dict:
+        """Per-act 2x2 contrasts of ``groups``; OR > 1 means the act leans toward order[0]."""
         first, second = order
         n1, n2 = sum(groups[first].values()), sum(groups[second].values())
         if n1 == 0 or n2 == 0:
@@ -389,8 +379,7 @@ class _Analyzer:
 
     def win_rates(self) -> dict:
         out = {}
-        for label in sorted({g.label for g in self.games}):
-            rows = [g for g in self.games if g.label == label]
+        for label, rows in self.by_label.items():
             crew = sum(1 for g in rows if g.winner == "crew")
             impostor = sum(1 for g in rows if g.winner == "impostor")
             decided = crew + impostor
@@ -406,19 +395,18 @@ class _Analyzer:
     def win_round_ecdf(self) -> dict:
         return {
             label: {
-                winner: _ecdf([g.end_round for g in self.games if g.label == label and g.winner == winner])
-                for winner in ("crew", "impostor")
+                winner: _ecdf([g.end_round for g in rows if g.winner == winner]) for winner in ("crew", "impostor")
             }
-            for label in sorted({g.label for g in self.games})
+            for label, rows in self.by_label.items()
         }
 
     def meeting_ecdf(self) -> dict:
         return {
             label: {
-                "discussions": _ecdf(self.meeting_rounds[label], "no meetings"),
-                "ejections": _ecdf(self.ejection_rounds[label], "no ejections"),
+                "discussions": _ecdf([r for g in rows for r in g.meeting_rounds], "no meetings"),
+                "ejections": _ecdf([r for g in rows for r in g.ejection_rounds], "no ejections"),
             }
-            for label in sorted(self.meeting_rounds)
+            for label, rows in self.by_label.items()
         }
 
     def win_regression(self) -> dict:
@@ -426,12 +414,12 @@ class _Analyzer:
         return self._design("crew", {name: [getattr(g, name) for g in rows] for name in WIN_PREDICTORS})
 
     def speech_act_by_role(self) -> dict:
-        by_role = _tally(self._labeled("speech_act"), _role)
+        by_role = self._tally("speech_act", "role")
         groups = {role: by_role[role] for role in ROLES}
         return _logit_groups(groups, SPEECH_ACTS, "acts", "no classified utterances for {}")
 
     def role_act_chi2(self) -> dict:
-        by_role = _tally(self._labeled("speech_act"), _role)
+        by_role = self._tally("speech_act", "role")
         acts, result = _chi2(
             by_role,
             ROLES,
@@ -443,19 +431,15 @@ class _Analyzer:
 
     def speech_act_role_odds(self) -> dict:
         """Odds of each act for impostors vs crew (OR > 1 = impostor-leaning)."""
-        labeled = self._labeled("speech_act")
-        return self._act_two_by_two(labeled, _role, order=("impostor", "crewmate"))
+        return self._act_two_by_two(self._tally("speech_act", "role"), order=("impostor", "crewmate"))
 
     def speech_act_outcome_odds(self) -> dict:
         """Odds of each act in crew-win games vs impostor-win games."""
-        labeled = self._completed_only(
-            self._labeled("speech_act"), "no classified utterances in completed games"
-        )
-        return self._act_two_by_two(
-            labeled,
-            lambda utt: "crew_win" if self.outcome_by_game[utt.game_id] == "crew" else "impostor_win",
-            order=("crew_win", "impostor_win"),
-        )
+        by_winner = self._tally("speech_act", "winner")
+        if not (by_winner["crew"] or by_winner["impostor"]):
+            raise Insufficient("no classified utterances in completed games")
+        groups = {"crew_win": by_winner["crew"], "impostor_win": by_winner["impostor"]}
+        return self._act_two_by_two(groups, order=("crew_win", "impostor_win"))
 
     def pre_ejection(self) -> dict:
         """Speech acts inside meetings that ended with an ejection."""
@@ -466,7 +450,9 @@ class _Analyzer:
         ]
         if not labeled:
             raise Insufficient("no classified utterances in ejection meetings")
-        by_role = _tally(labeled, _role)
+        by_role: dict[str, Counter] = defaultdict(Counter)
+        for utt, label in labeled:
+            by_role[utt.role][label] += 1
         shares = {}
         for role in ROLES:
             total = sum(by_role[role].values())
@@ -484,29 +470,27 @@ class _Analyzer:
         return out
 
     def deception_proportions(self) -> dict:
-        labeled = self._labeled("deception")
-        by_outcome = _tally(labeled, lambda u: self.outcome_by_game.get(u.game_id))
-        by_role = _tally(labeled, _role)
+        by_winner = self._tally("deception", "winner")
+        by_role = self._tally("deception", "role")
         groups = {
-            "crew_win": by_outcome["crew"],
-            "impostor_win": by_outcome["impostor"],
+            "crew_win": by_winner["crew"],
+            "impostor_win": by_winner["impostor"],
             "impostor": by_role["impostor"],
             "crewmate": by_role["crewmate"],
         }
         return _logit_groups(groups, DECEPTION_TYPES, "types", "no labeled utterances in group {}")
 
     def deception_outcome_chi2(self) -> dict:
-        labeled = self._completed_only(
-            self._labeled("deception"), "no labeled utterances in completed games"
-        )
-        by_winner = _tally(labeled, lambda u: self.outcome_by_game[u.game_id])
+        by_winner = self._tally("deception", "winner")
+        if not (by_winner["crew"] or by_winner["impostor"]):
+            raise Insufficient("no labeled utterances in completed games")
         types, result = _chi2(
             by_winner, ("crew", "impostor"), DECEPTION_TYPES, "need both outcomes and two deception types"
         )
         return {"types": types, **result}
 
     def deception_vs_ejections(self) -> dict:
-        by_game = _tally(self._labeled("deception"), _game)
+        by_game = self._tally("deception", "game_id")
         rows = self.completed
         if len(rows) < 3:
             raise Insufficient("need at least 3 completed games")
@@ -518,8 +502,8 @@ class _Analyzer:
 
     def speech_deception_spearman(self) -> dict:
         """Game-level coupling: deception-type rate vs speech-act share."""
-        acts_by_game = _tally(self._labeled("speech_act"), _game)
-        dec_by_game = _tally(self._labeled("deception"), _game)
+        acts_by_game = self._tally("speech_act", "game_id")
+        dec_by_game = self._tally("deception", "game_id")
         games = sorted(set(acts_by_game) & set(dec_by_game))
         if len(games) < 3:
             raise Insufficient("need at least 3 games with both annotation tasks")
@@ -537,7 +521,7 @@ class _Analyzer:
 
     def deception_win_regression(self) -> dict:
         """Impostor victory (y=1) predicted from per-game deception counts."""
-        by_game = _tally(self._labeled("deception"), _game)
+        by_game = self._tally("deception", "game_id")
         return self._design(
             "impostor",
             {dtype: [float(by_game[g.game_id][dtype]) for g in self.completed] for dtype in DECEPTION_TYPES},
@@ -550,7 +534,7 @@ class _Analyzer:
         ordinal and compared with a lag-1 rank correlation, since the exact
         pairing underlying round-to-round carryover is not pinned down.
         """
-        by_meeting = _tally(self._labeled("speech_act"), attrgetter("meeting_index", "role"))
+        by_meeting = self._tally("speech_act", "meeting_index", "role")
 
         def share(key: tuple[int, str]) -> float:
             return by_meeting[key]["representatives"] / sum(by_meeting[key].values())

@@ -17,7 +17,7 @@ from crewsim.harness.analysis import analyze
 from crewsim.harness.annotator import annotate_corpus
 from crewsim.harness.corpus import iter_corpus
 from crewsim.harness.plan import ExperimentPlan, default_plan
-from crewsim.harness.runner import run_experiment
+from crewsim.harness.runner import PlanError, run_experiment
 
 
 def _echo(message: str) -> None:
@@ -48,7 +48,11 @@ def cmd_simulate(args) -> int:
     plan = _build(ExperimentPlan.from_file, args.plan, "plan file") if args.plan else default_plan()
     if plan is None:
         return 2
-    out = run_experiment(plan, args.out, workers=args.workers, echo=_echo)
+    try:
+        out = run_experiment(plan, args.out, workers=args.workers, echo=_echo)
+    except PlanError as exc:
+        _echo(f"plan file {args.plan} cannot run: {exc}")
+        return 2
     _echo(f"corpus written to {out}")
     return 0
 

@@ -3,16 +3,18 @@
 Games are independent: each worker owns its game and writes one file, so a
 run can be parallelized, interrupted, and resumed (existing game files are
 skipped) without changing the resulting corpus bytes. The JSONLs are derived
-from the game files and rebuilt at the end of each run. A crashing game is
-recorded as a failure line and the run continues.
+from the game files and rebuilt at the end of each run. Before anything is
+written, the first game of every configuration is set up, so a plan that
+cannot run raises ``PlanError``; a game that crashes later is recorded as a
+failure line and the run continues.
 
 Scripted games are CPU-bound and run in a process pool of ``workers``
 (in this process for one). Chat games wait on the endpoint, so they run on
 threads instead, up to the endpoint's ``max_concurrency`` games at once. A
 game sends one request at a time, so that also bounds the requests in
 flight. The corpus is the same whatever the bound as long as the
-endpoint's reply depends on the request alone. An interrupted chat run
-stops starting games but lets the running ones finish.
+endpoint's reply depends on the request alone. An interrupted run stops
+starting games but lets the running ones finish.
 """
 
 from __future__ import annotations
@@ -20,16 +22,21 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 from crewsim.agents.chat import ChatAgent, ChatEndpointConfig, make_chat_roster
 from crewsim.agents.scripted import make_scripted_roster
 from crewsim.core.serialize import encode_record
 from crewsim.core.types import GameConfig
-from crewsim.engine.engine import run_game
+from crewsim.engine.engine import new_game, run_game
 from crewsim.harness.plan import ExperimentPlan
 
 logger = logging.getLogger(__name__)
+
+
+class PlanError(ValueError):
+    """A plan whose first game of some configuration cannot be set up."""
 
 
 def _endpoint_config(agents_spec: dict) -> ChatEndpointConfig:
@@ -57,6 +64,11 @@ def build_roster(config: GameConfig, agents_spec: dict):
     raise ValueError(f"unknown agent spec type {kind!r}")
 
 
+def _close_clients(roster) -> None:
+    for client in {agent.client for agent in roster if isinstance(agent, ChatAgent)}:
+        client.close()  # the game's chat client, shared by its agents
+
+
 def _run_one(config_data: dict, agents_spec: dict, game_id: str, path_str: str) -> tuple[str, str | None]:
     """Run a single game and write its file. Returns (path, error or None)."""
     path = Path(path_str)
@@ -71,44 +83,11 @@ def _run_one(config_data: dict, agents_spec: dict, game_id: str, path_str: str) 
         line = json.dumps({"failed": True, "game_id": game_id, "error": str(exc)})
         error = str(exc)
     finally:
-        for client in {agent.client for agent in roster if isinstance(agent, ChatAgent)}:
-            client.close()  # the game's chat client, shared by its agents
+        _close_clients(roster)
     tmp = path.with_suffix(".tmp")
     tmp.write_text(line + "\n", encoding="utf-8")
     tmp.replace(path)
     return path_str, error
-
-
-def _count_failures(outcomes) -> int:
-    """Log each failed game of ``(path, error)`` outcomes; returns how many."""
-    failures = 0
-    for path_str, error in outcomes:
-        if error:
-            failures += 1
-            logger.warning("game failed: %s (%s)", path_str, error)
-    return failures
-
-
-def _chat_games_at_once(agents_spec: dict) -> int:
-    """The endpoint's ``max_concurrency``, or 1 when the endpoint cannot be
-    read: then every game records the same error, as a serial run would."""
-    try:
-        endpoint = _endpoint_config(agents_spec)
-        endpoint.validate()
-    except Exception:  # noqa: BLE001 - reported per game by _run_one
-        return 1
-    return endpoint.max_concurrency
-
-
-def _run_chat_games(agents_spec: dict, jobs: list) -> int:
-    """Run chat games on threads, ``max_concurrency`` at a time; returns the
-    failed games. On an error, games not yet started are dropped."""
-    pool = ThreadPoolExecutor(min(_chat_games_at_once(agents_spec), len(jobs)), thread_name_prefix="game")
-    try:
-        futures = [pool.submit(_run_one, *job) for job in jobs]
-        return _count_failures(future.result() for future in futures)
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def run_experiment(plan: ExperimentPlan, out_dir: str | Path, workers: int = 1, echo=None) -> Path:
@@ -117,8 +96,17 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path, workers: int = 1, 
     Already-present game files are kept as-is, so deleting a subset of game
     files and re-running regenerates exactly that subset. The plan's JSONLs
     are deleted first, so a run stopped before it rebuilds them leaves none
-    that disagrees with the game files.
+    that disagrees with the game files. A plan whose agent spec or config
+    cannot set up some configuration's first game raises ``PlanError``.
     """
+    for ci in range(len(plan.entries)):
+        config = plan.game_config(ci, 0)
+        try:
+            new_game(config)
+            _close_clients(build_roster(config, plan.agents))
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            raise PlanError(f"{plan.config_name(ci)}: {type(exc).__name__}: {exc}") from exc
+
     echo = echo or (lambda msg: None)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -126,7 +114,7 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path, workers: int = 1, 
         json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    jobs = []
+    configs, game_ids, paths = [], [], []
     for ci, entry in enumerate(plan.entries):
         name = plan.config_name(ci)
         cfg_dir = out / name
@@ -137,17 +125,26 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path, workers: int = 1, 
             if path.exists():
                 continue
             config = plan.game_config(ci, rep)
-            game_id = f"c{ci:02d}-{config.label()}-r{rep:04d}"
-            jobs.append((config.to_dict(), plan.agents, game_id, str(path)))
+            configs.append(config.to_dict())
+            game_ids.append(f"c{ci:02d}-{config.label()}-r{rep:04d}")
+            paths.append(str(path))
 
-    echo(f"{len(jobs)} games to run ({sum(e.repetitions for e in plan.entries)} total in plan)")
-    if plan.agents.get("type") == "chat" and jobs:
-        failures = _run_chat_games(plan.agents, jobs)
-    elif workers > 1 and jobs:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            failures = _count_failures(pool.map(_run_one, *zip(*jobs)))
-    else:
-        failures = _count_failures(_run_one(*job) for job in jobs)
+    echo(f"{len(paths)} games to run ({sum(e.repetitions for e in plan.entries)} total in plan)")
+    pool = None
+    if paths and plan.agents.get("type") == "chat":
+        games_at_once = min(_endpoint_config(plan.agents).max_concurrency, len(paths))
+        pool = ThreadPoolExecutor(games_at_once, thread_name_prefix="game")
+    elif paths and workers > 1:
+        pool = ProcessPoolExecutor(max_workers=workers)
+    failures = 0
+    try:
+        for path_str, error in (pool.map if pool else map)(_run_one, configs, repeat(plan.agents), game_ids, paths):
+            if error:
+                failures += 1
+                logger.warning("game failed: %s (%s)", path_str, error)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     summary: dict[str, dict] = {}
     for ci, entry in enumerate(plan.entries):

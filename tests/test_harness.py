@@ -653,34 +653,31 @@ def test_cli_replays_a_per_game_file(capsys):
 
 def _reference_corpus(corpus: Path):
     """What ``_load_corpus`` returns, built from ``GameRecord``s."""
-    games, utterances, ejected, meeting_rounds, ejection_rounds = [], [], set(), {}, {}
+    games, utterances, ejected = [], [], set()
     for record in iter_corpus(corpus):
         slots = record.utterances()
         spoken = [u for u in slots if not u.abstained]
+        winner = record.outcome.winner
         utterances += [
-            _Utt(u.key, record.game_id, u.speaker_role.value, u.meeting_index, u.abstained) for u in slots
+            _Utt(u.key, record.game_id, u.speaker_role.value, u.meeting_index, u.abstained, winner) for u in slots
         ]
         ejected |= {(record.game_id, e.data["meeting_index"]) for e in record.events if e.kind == "ejection"}
-        label = record.config.label()
-        meeting_rounds.setdefault(label, []).extend(record.meeting_rounds)
-        ejection_rounds.setdefault(label, []).extend(record.ejection_rounds)
         games.append(
             _Game(
                 record.game_id,
-                label,
+                record.config.label(),
                 record.config.num_crew,
                 record.config.num_impostors,
-                record.outcome.winner,
+                winner,
                 record.outcome.reason,
                 record.events[-1].round if record.events else 0,
-                len(record.meeting_rounds),
-                len(record.ejection_rounds),
+                record.meeting_rounds,
+                record.ejection_rounds,
                 sum(u.word_count for u in spoken),
                 len(spoken),
-                len(slots),
             )
         )
-    return games, utterances, ejected, meeting_rounds, ejection_rounds, count_failures(corpus)
+    return games, utterances, ejected, count_failures(corpus)
 
 
 def _reference_items(corpus: Path, discussion_window: str) -> list:
@@ -867,20 +864,19 @@ def test_a_chat_game_closes_its_client(player_model, tmp_path, monkeypatch):
         "missing.json",
         {"base_url": "ftp://nowhere", "model": "mock"},
         {"base_url": "http://x", "model": "mock", "max_concurrency": 0},
+        {"base_url": "http://x", "model": "mock", "api_key_env": "CREWSIM_TEST_UNSET_KEY"},
     ],
-    ids=["missing-file", "bad-url", "zero-bound"],
+    ids=["missing-file", "bad-url", "zero-bound", "unset-key"],
 )
-def test_chat_plan_with_a_bad_endpoint_records_every_game_as_failed(endpoint, tmp_path):
+def test_chat_plan_with_a_bad_endpoint_is_refused_before_any_game(endpoint, tmp_path):
     if isinstance(endpoint, str):
         endpoint = str(tmp_path / endpoint)
     plan = ExperimentPlan.from_dict(
         {"base_seed": 31, "agents": {"type": "chat", "endpoint": endpoint}, "configs": CHAT_CONFIGS}
     )
-    corpus = run_experiment(plan, tmp_path / "corpus")
-    games = [json.loads(p.read_text("utf-8")) for p in sorted(corpus.glob("config_*/game_*.json"))]
-    assert len(games) == 3 and all(game["failed"] for game in games)
-    summary = json.loads((corpus / "summary.json").read_text("utf-8"))
-    assert sum(counts["failures"] for counts in summary.values()) == 3
+    with pytest.raises(ValueError, match="config_00_3v1"):
+        run_experiment(plan, tmp_path / "corpus")
+    assert not (tmp_path / "corpus").exists()
 
 
 def test_cli_replay_verifies_concurrent_chat_games(concurrent_chat_corpus, capsys):
@@ -990,6 +986,19 @@ ANNOTATE_ENDPOINT = [*ANNOTATE_GOLDEN, "--backend", "chat", "--endpoint", "{path
         pytest.param(SIMULATE_PLAN, '{"base_seed": 1}', id="plan-without-configs"),
         pytest.param(
             SIMULATE_PLAN, '{"configs": [{"num_crew": 3, "num_impostors": 1, "map_file": "nowhere.json"}]}', id="plan-map-file"
+        ),
+        pytest.param(
+            SIMULATE_PLAN,
+            '{"agents": {"crew": "task_rushr"}, "configs": [{"num_crew": 3, "num_impostors": 1, "repetitions": 2}]}',
+            id="plan-policy",
+        ),
+        pytest.param(
+            SIMULATE_PLAN, '{"agents": {"type": "llm"}, "configs": [{"num_crew": 3, "num_impostors": 1}]}', id="plan-agent-type"
+        ),
+        pytest.param(
+            SIMULATE_PLAN,
+            '{"configs": [{"num_crew": 3, "num_impostors": 1}, {"num_crew": 1, "num_impostors": 3, "repetitions": 2}]}',
+            id="plan-1v3",
         ),
         pytest.param(ANNOTATE_ENDPOINT, '{"base_url": "http://localhost:1", "model": "m", "bogus": 1}', id="endpoint-key"),
         pytest.param(ANNOTATE_ENDPOINT, '{"base_url": "ftp://localhost", "model": "m"}', id="endpoint-url"),
