@@ -2,7 +2,10 @@
 
 Per-game seeds are ``(base_seed + stable_hash(config index, repetition))``,
 so repetitions are independent of each other yet fully reproducible under
-resume and across worker counts.
+resume and across worker counts. A plan read from a file reads a relative
+``map_file`` or chat ``endpoint`` path from the plan's own directory, and
+keeps the endpoint as an absolute path, so the plan a run writes can be
+rerun from any directory.
 """
 
 from __future__ import annotations
@@ -89,10 +92,13 @@ class ExperimentPlan:
             elif map_data is not None:
                 config.map = checked_map(map_data, "map in plan")
             entries.append(PlanEntry(config=config, repetitions=repetitions))
+        agents = dict(data.get("agents", {"type": "scripted"}))
+        if isinstance(agents.get("endpoint"), str) and base_dir is not None:
+            agents["endpoint"] = str((base_dir / agents["endpoint"]).resolve())  # as map_file: beside the plan
         return cls(
             entries=entries,
             base_seed=data.get("base_seed", 0),
-            agents=dict(data.get("agents", {"type": "scripted"})),
+            agents=agents,
         )
 
     @classmethod

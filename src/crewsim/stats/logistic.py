@@ -19,6 +19,8 @@ from dataclasses import asdict, dataclass
 from operator import mul, sub
 
 _SEPARATION_BOUND = 100.0  # |log-odds| this large means probabilities are 1 to ~4e-44
+_MAX_ITER = 100  # Newton steps before the fit reports non-convergence
+_TOL = 1e-8  # max-norm of the score at convergence
 
 
 def sigmoid(z: float) -> float:
@@ -117,17 +119,11 @@ def _covariance(rows, cols, p, names) -> list[list[float]]:
     return [row[k:] for row in aug]
 
 
-def logistic_fit(
-    X,
-    y,
-    names: list[str] | None = None,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> RegressionFit:
+def logistic_fit(X, y, names: list[str] | None = None) -> RegressionFit:
     """Maximum-likelihood logistic regression.
 
     Converged means the score (log-likelihood gradient) has max-norm below
-    ``tol``. Perfect separation is reported via ``converged=False`` plus a
+    ``_TOL``. Perfect separation is reported via ``converged=False`` plus a
     warning once coefficients run away; a rank-deficient design raises a
     ValueError naming the collinear columns.
     """
@@ -155,11 +151,11 @@ def logistic_fit(
     converged = False
     warning = None
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         p = [sigmoid(_dot(row, beta)) for row in rows]
         residual = list(map(sub, y, p))
         score = [_dot(col, residual) for col in cols]
-        if all(abs(s) < tol for s in score):
+        if all(abs(s) < _TOL for s in score):
             converged = True
             break
         covariance = _covariance(rows, cols, p, names)
@@ -169,7 +165,7 @@ def logistic_fit(
             break
 
     if not converged and warning is None:
-        warning = f"did not converge within {max_iter} iterations"
+        warning = f"did not converge within {_MAX_ITER} iterations"
 
     covariance = _covariance(rows, cols, [sigmoid(_dot(row, beta)) for row in rows], names)
     se = [math.sqrt(max(covariance[j][j], 0.0)) for j in range(k)]

@@ -858,6 +858,23 @@ def test_a_chat_game_closes_its_client(player_model, tmp_path, monkeypatch):
     assert len(closed) == 1  # one client, shared by the game's agents
 
 
+def test_cli_reads_a_relative_endpoint_from_the_plans_directory(player_model, tmp_path, monkeypatch):
+    _, server = player_model
+    plans = tmp_path / "plans"
+    plans.mkdir()
+    endpoint = {"base_url": server.url, "model": "mock", "timeout": 5.0, "max_retries": 0}
+    (plans / "endpoint.json").write_text(json.dumps(endpoint), "utf-8")
+    plan = {"base_seed": 31, "agents": {"type": "chat", "endpoint": "endpoint.json"}, "configs": CHAT_CONFIGS}
+    (plans / "chat.json").write_text(json.dumps(plan), "utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["simulate", "--plan", "plans/chat.json", "--out", "corpus"]) == 0
+    assert count_failures(tmp_path / "corpus") == 0
+    assert len(list(iter_corpus(tmp_path / "corpus"))) == 3
+    monkeypatch.chdir(plans)  # the written plan names the endpoint file wherever it is read from
+    assert cli_main(["simulate", "--plan", "../corpus/plan.json", "--out", "../rerun"]) == 0
+    assert tree_bytes(tmp_path / "rerun") == tree_bytes(tmp_path / "corpus")
+
+
 @pytest.mark.parametrize(
     "endpoint",
     [
