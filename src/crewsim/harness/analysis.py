@@ -8,6 +8,10 @@ corpus slice. Sections whose slice is empty are marked
 
 ``SECTIONS`` is the one place to add a section: an entry names the
 ``_Analyzer`` method that builds it and the writer that exports it.
+Sections read one pass over the corpus: the games, grouped once by
+configuration label, and the run-0 label counts per utterance grouping
+(role, outcome, game, meeting), each counted once per ``analyze`` call and
+shared by every section that reads it.
 
 Conventions, applied throughout:
 

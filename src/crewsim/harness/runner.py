@@ -13,8 +13,8 @@ Scripted games are CPU-bound and run in a process pool of ``workers``
 threads instead, up to the endpoint's ``max_concurrency`` games at once. A
 game sends one request at a time, so that also bounds the requests in
 flight. The corpus is the same whatever the bound as long as the
-endpoint's reply depends on the request alone. An interrupted run stops
-starting games but lets the running ones finish.
+endpoint's reply depends on the request alone. An interrupted run starts
+no further games; chat games already running finish first.
 """
 
 from __future__ import annotations

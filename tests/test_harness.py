@@ -431,6 +431,19 @@ def test_analyze_without_annotations_marks_sections(corpus, tmp_path):
     ]
 
 
+def test_a_game_without_deception_labels_stays_out_of_the_game_level_coupling(tmp_path):
+    """``deception_vs_ejections`` reads the deception counts of every completed
+    game; a game that has none must not join ``speech_deception_spearman``."""
+    annotations = tmp_path / "annotations"
+    shutil.copytree(GOLDEN / "annotations", annotations)
+    run = annotations / "deception.run0.jsonl"
+    meta, *lines = run.read_text("utf-8").splitlines(keepends=True)
+    run.write_text(meta + "".join(line for line in lines if '"c00-3v1-r0000|' not in line), "utf-8")
+    sections = analyze(GOLDEN / "corpus", annotations).sections
+    assert "insufficient_data" not in sections["deception_vs_ejections"]
+    assert sections["speech_deception_spearman"]["n_games"] == 5  # 6 with every label
+
+
 def _with_placeholders(src: Path, dst: Path) -> Path:
     """A copy of corpus ``src`` whose second and third 3v1 games are failed-game
     placeholders, and whose first utterance reads "failed"."""
